@@ -69,13 +69,13 @@ def export(results_dir: pathlib.Path) -> int:
         "demo_timeseries.jsonl": db.timeseries_jsonl(),
         "demo_alerts.jsonl": db.alerts_jsonl(),
         "demo_audit.jsonl": db.autoscaler_audit_jsonl(),
-        "demo_slo.json": db.slo_json() + "\n",
+        "demo_slo.json": db.obs.slo.export_json() + "\n",
     }
     for filename, payload in outputs.items():
         (results_dir / filename).write_text(payload, encoding="utf-8")
         print(f"wrote {results_dir / filename}")
 
-    report = db.slo_report()["levels"]
+    report = db.obs.slo.snapshot()["levels"]
     for name in sorted(report):
         level = report[name]
         compliance = level["compliance"]

@@ -79,18 +79,19 @@ def export(results_dir: pathlib.Path) -> int:
 
     failures: list[str] = []
 
-    captures = db.journal_captures()
+    obs = db.obs
+    captures = obs.journal.captures()
     evidenced = [c for c in captures if "flamegraph_svg" in c]
     reconciliation = db.reconcile()
     outputs = {
-        "fleet_statements_top.txt": db.statements_top(10, "dollars"),
-        "fleet_statements.json": db.statements_json(),
-        "fleet_journal.jsonl": db.journal_jsonl(),
-        "fleet_ledger.jsonl": db.ledger_jsonl(),
-        "fleet_spend.json": db.spend_json(),
+        "fleet_statements_top.txt": obs.statements.render_top(10, "dollars"),
+        "fleet_statements.json": obs.statements.export_json(),
+        "fleet_journal.jsonl": obs.journal.export_jsonl(),
+        "fleet_ledger.jsonl": obs.ledger.export_jsonl(),
+        "fleet_spend.json": obs.spend.export_json(),
         "fleet_reconciliation.json": reconciliation.export_json(),
-        "fleet_activity.json": db.activity_json(),
-        "fleet_projections.json": db.projection_json(),
+        "fleet_activity.json": obs.activity.export_json(),
+        "fleet_projections.json": obs.activity.export_projection_json(),
     }
     if evidenced:
         outputs["fleet_capture_flame.svg"] = evidenced[0]["flamegraph_svg"]
@@ -98,17 +99,17 @@ def export(results_dir: pathlib.Path) -> int:
         (results_dir / filename).write_text(payload, encoding="utf-8")
         print(f"wrote {results_dir / filename}")
 
-    for entry in db.obs.statements.top(5, by="dollars"):
+    for entry in obs.statements.top(5, by="dollars"):
         print(
             f"{entry.fingerprint}  {entry.level:<12} "
             f"tenant={entry.tenant:<10} calls={entry.calls} "
             f"billed=${entry.nanodollars / 1e9:.9f}"
         )
     print(
-        f"journal: {len(db.obs.journal.records())} events, "
+        f"journal: {len(obs.journal.records())} events, "
         f"{len(captures)} captures ({len(evidenced)} with profile evidence)"
     )
-    spend = db.spend_report()
+    spend = obs.spend.report()
     for row in spend["tenants"]:
         budget = row["budget_dollars"]
         print(
@@ -124,7 +125,7 @@ def export(results_dir: pathlib.Path) -> int:
             "no journal capture carries profile evidence — "
             "the tail-based capture path is dead"
         )
-    if not db.ledger_jsonl():
+    if not outputs["fleet_ledger.jsonl"]:
         failures.append("the metering ledger is empty — billing left no trail")
     if not spend["tenants"]:
         failures.append("the spend report has no tenants — tenant threading broke")
@@ -135,8 +136,8 @@ def export(results_dir: pathlib.Path) -> int:
             "billing reconciliation violated "
             f"{len(reconciliation.violations)} invariant(s)"
         )
-    activity = db.activity()
-    projections = db.projection_report()
+    activity = obs.activity.snapshot()
+    projections = obs.activity.projection_report()
     print(
         f"activity: {len(activity.get('queries', []))} queries tracked, "
         f"states {activity.get('states', {})}"

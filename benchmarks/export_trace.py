@@ -35,7 +35,7 @@ def export(path: pathlib.Path) -> None:
     )
     db.run_to_completion()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(db.export_traces() + "\n")
+    path.write_text(db.obs.tracer.export_all_json() + "\n")
     trace_count = len(db.obs.tracer.trace_ids())
     print(f"wrote {trace_count} traces to {path}")
 

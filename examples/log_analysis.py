@@ -56,9 +56,9 @@ def main() -> None:
           f"(would be 10x at the immediate tier)")
 
     print("\nTop 5 statements by billed $ (pg_stat_statements-style):\n")
-    print(db.statements_top(5, "dollars"))
+    print(db.obs.statements.render_top(5, "dollars"))
 
-    captures = [c for c in db.journal_captures() if "profile" in c]
+    captures = [c for c in db.obs.journal.captures() if "profile" in c]
     if captures:
         slowest = captures[0]
         print("Tail-captured slow query (full profile evidence attached):\n")

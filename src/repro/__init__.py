@@ -119,9 +119,10 @@ class PixelsDB:
         live bill/deadline projections against tenant budgets and
         service-level deadlines on its scheduler tick, alerting — and,
         opt-in, downgrading or cancelling — with every decision
-        audit-logged (:meth:`guard_audit`).  The default is the inert
-        no-op pair — query results and billed prices are identical
-        either way."""
+        audit-logged (:meth:`guard_audit`).  Every sink is read through
+        :attr:`obs` (``db.obs.ledger.export_jsonl()``, ...); without
+        ``observe=True`` there is no bundle (``db.obs is None``) — query
+        results and billed prices are identical either way."""
         self.config = config if config is not None else TurboConfig()
         self.seed = seed
         self.sim = Simulator(seed=seed)
@@ -134,6 +135,8 @@ class PixelsDB:
         self.alerts: AlertEngine | None = None
         self.scrape_loop: ScrapeLoop | None = None
         self._guard_policy = guard
+        #: The live :class:`~repro.obs.Instrumentation` bundle, or None.
+        self.obs: Instrumentation | None = None
         if observe:
             self.obs = Instrumentation.create(
                 clock=lambda: self.sim.now,
@@ -161,8 +164,6 @@ class PixelsDB:
                 interval_s=scrape_interval_s,
                 listeners=[self.alerts.evaluate],
             )
-        else:
-            self.obs = Instrumentation.disabled()
 
     # -- data loading -------------------------------------------------------------
 
@@ -270,19 +271,6 @@ class PixelsDB:
         actual per-operator rows, bytes, and wall time."""
         return self.coordinator(schema).explain_analyze(sql)
 
-    def metrics(self) -> str:
-        """The Prometheus text exposition of every registered series
-        (empty when the db was built without ``observe=True``)."""
-        return self.obs.metrics.render()
-
-    def trace(self, query_id: str) -> str:
-        """Deterministic JSON span timeline for one query."""
-        return self.obs.tracer.export_json(query_id)
-
-    def export_traces(self) -> str:
-        """Every recorded trace as one JSON document."""
-        return self.obs.tracer.export_all_json()
-
     def profile(self, schema: str, query_id: str):
         """The finished query's cost/time attribution profile
         (:class:`~repro.obs.profiler.QueryProfile`): span tree fused with
@@ -291,43 +279,7 @@ class PixelsDB:
         same-seed runs."""
         return self.query_server(schema).query_profile(query_id)
 
-    # -- statement statistics & query journal ----------------------------------------
-
-    def statements_top(self, k: int = 10, by: str = "dollars") -> str:
-        """The fixed-width top-K statement table (``by`` is one of
-        ``time``/``dollars``/``calls``; empty without ``observe=True``)."""
-        return self.obs.statements.render_top(k, by)
-
-    def statements_json(self) -> str:
-        """Every statement-statistics entry as byte-stable JSON."""
-        return self.obs.statements.export_json()
-
-    def journal_jsonl(self) -> str:
-        """The query journal — every lifecycle event, trace-correlated —
-        as deterministic JSONL (empty without ``observe=True``)."""
-        return self.obs.journal.export_jsonl()
-
-    def journal_captures(self) -> list[dict]:
-        """Journal records that tail-based capture enriched with the full
-        profiler attribution tree and flame graph."""
-        return self.obs.journal.captures()
-
-    # -- metering ledger & spend accounting -------------------------------------------
-
-    def ledger_jsonl(self) -> str:
-        """The metering ledger — every charge and void, integer
-        nanodollars — as byte-stable JSONL (empty without
-        ``observe=True``)."""
-        return self.obs.ledger.export_jsonl()
-
-    def spend_report(self) -> dict:
-        """The per-tenant spend report: net nanodollars, per-level
-        split, soft-budget status, provider-side spend per venue."""
-        return self.obs.spend.report()
-
-    def spend_json(self) -> str:
-        """Byte-stable JSON rendering of :meth:`spend_report`."""
-        return self.obs.spend.export_json()
+    # -- metering ledger ------------------------------------------------------------
 
     def reconcile(self):
         """Replay every server's metering ledger and prove ledger ==
@@ -348,16 +300,7 @@ class PixelsDB:
             )
         return report
 
-    # -- SLO engine ----------------------------------------------------------------
-
-    def slo_report(self) -> dict:
-        """Per-level compliance ratios, violation counts, and
-        error-budget state (empty without ``observe=True``)."""
-        return self.obs.slo.snapshot()
-
-    def slo_json(self) -> str:
-        """Every SLO record plus the summary, as deterministic JSON."""
-        return self.obs.slo.export_json()
+    # -- time series & alerts -------------------------------------------------------
 
     def timeseries_jsonl(self) -> str:
         """The scrape loop's time-series store as deterministic JSONL.
@@ -393,28 +336,7 @@ class PixelsDB:
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    # -- live activity & projection guard ---------------------------------------------
-
-    def activity(self) -> dict:
-        """The live query-activity snapshot — every submission's
-        lifecycle state, per-operator progress fractions, and projected
-        nanodollar bill at the current simulated time (the
-        ``pg_stat_activity`` of this system; empty without
-        ``observe=True``)."""
-        return self.obs.activity.snapshot()
-
-    def activity_json(self) -> str:
-        """Byte-stable JSON rendering of :meth:`activity`."""
-        return self.obs.activity.export_json()
-
-    def projection_report(self) -> dict:
-        """Estimator accuracy over every billed query: per-query
-        estimated vs. actual nanodollars plus the aggregate MAPE."""
-        return self.obs.activity.projection_report()
-
-    def projection_json(self) -> str:
-        """Byte-stable JSON rendering of :meth:`projection_report`."""
-        return self.obs.activity.export_projection_json()
+    # -- projection guard -------------------------------------------------------------
 
     def guard_audit(self) -> list[dict]:
         """Every projection-guard decision across this instance's query
@@ -444,19 +366,20 @@ class PixelsDB:
         included)."""
         if self.scrape_loop is not None:
             self.scrape_loop.scrape()
+        obs = self.obs
+        sinks = {} if obs is None else dict(
+            slo=obs.slo, registry=obs.metrics, statements=obs.statements,
+            spend=obs.spend, activity=obs.activity,
+        )
         return DashboardData.build(
             title=title,
             now=self.sim.now,
             timeseries=self.timeseries or TimeSeriesStore(),
-            slo=self.obs.slo,
             alerts=self.alerts,
             audit=self.autoscaler_audit(),
             seed=self.seed,
-            registry=self.obs.metrics,
-            statements=self.obs.statements,
-            spend=self.obs.spend,
             scheduler=self._scheduler_snapshot(),
-            activity=self.obs.activity,
+            **sinks,
         )
 
     def _scheduler_snapshot(self) -> dict | None:

@@ -42,20 +42,21 @@ from repro.core.scheduler import (
     LevelScheduler,
 )
 from repro.core.service_levels import QueryStatus, ServiceLevel
-from repro.obs import ROOT, Span
-from repro.obs.activity import GuardDecision, GuardPolicy, ProjectionGuard
+from repro.obs import GuardDecision, GuardPolicy, ProjectionGuard
 from repro.obs.fingerprint import Fingerprint, fingerprint
+from repro.obs.lifecycle import QueryObserver
 from repro.obs.metrics import (
     ADMISSION_DOWNGRADES_METRIC,
     ADMISSION_REJECTIONS_METRIC,
     GUARD_DECISIONS_METRIC,
     SCHEDULER_QUEUE_DEPTH_METRIC,
+    SLACK_BUCKETS,
+    NoopMetricsRegistry,
 )
-from repro.obs.profiler import NANOS_PER_DOLLAR
-from repro.obs.slo import SLACK_BUCKETS
 from repro.sim import Simulator
 from repro.turbo.coordinator import Coordinator, QueryExecution
 from repro.turbo.config import TurboConfig
+from repro.turbo.cost import NANOS_PER_DOLLAR
 
 
 @dataclass
@@ -185,9 +186,11 @@ class QueryServer:
         self._batch_size = batch_size
         self._queries: dict[str, ServerQuery] = {}
         self._scheduler = LevelScheduler(shares, default_share)
-        self.obs = coordinator.obs
+        self.obs = obs = coordinator.obs
         self._admission = AdmissionController(
-            admission, clock=lambda: sim.now, spend=self.obs.spend
+            admission,
+            clock=lambda: sim.now,
+            spend=obs.spend if obs is not None else None,
         )
         #: Per-tenant held + executing query count (the quota basis).
         self._tenant_live: dict[str, int] = {}
@@ -196,14 +199,10 @@ class QueryServer:
         self._grace_heap: list[tuple[float, int, ServerQuery]] = []
         self._grace_seq = 0
         self._query_counter = 0
-        self._root_spans: dict[str, Span] = {}
-        self._queue_spans: dict[str, Span] = {}
-        # Statement fingerprints: one cache keyed by SQL text (normalizing
-        # is per-shape work, not per-call work) plus the per-query mapping
-        # journal/statement records are labelled with.
+        # Statement fingerprints, cached by SQL text: normalizing is
+        # per-shape work, not per-call work.
         self._fingerprint_cache: dict[str, Fingerprint] = {}
-        self._fingerprints: dict[str, Fingerprint] = {}
-        registry = self.obs.metrics
+        registry = obs.metrics if obs is not None else NoopMetricsRegistry()
         self._m_submitted = registry.counter(
             "pixels_queries_submitted_total",
             "Queries accepted by the server, by service level",
@@ -251,20 +250,20 @@ class QueryServer:
             GUARD_DECISIONS_METRIC,
             "Projection-guard decisions, by rule and action",
         )
-        # The activity registry projects bills with the same pricing the
-        # server itself uses at completion, so a projection's terminal
-        # value equals the billed price exactly.
-        self.obs.activity.bind(pricer=self._projection_price)
         #: The armed :class:`ProjectionGuard` (None unless a policy was
         #: passed and observability is on); its ``audit_log`` is the
         #: guard's decision record, and ``alert_sink`` may be attached
         #: post-construction to route alerts into an alert engine.
         self.guard: ProjectionGuard | None = None
-        if guard is not None and self.obs.activity.enabled:
+        #: Every per-query call into the observability sinks goes through
+        #: this one observer; None when observability is off.
+        self._observer = None if obs is None else QueryObserver(
+            obs, lambda: sim.now, self._projection_price, self.query_profile
+        )
+        if guard is not None and obs is not None:
             self.guard = ProjectionGuard(
                 guard,
-                self.obs.activity,
-                self.obs.spend,
+                obs,
                 canceller=self.cancel,
                 downgrader=self.downgrade_query,
                 on_decision=self._on_guard_decision,
@@ -276,35 +275,29 @@ class QueryServer:
         registry.add_collector(self._collect_queue_depth)
         sim.schedule(config.scheduler_interval_s, self._tick)
 
-    def _projection_price(self, stats, level_value: str, venue: str):
-        """Price a (possibly hypothetical) execution for the activity
-        registry's projections: the same ``user_price`` + ``meter`` pair
-        :meth:`_completed` bills with, so projection and bill can never
-        disagree at the terminal state."""
-        level = ServiceLevel.from_string(level_value)
-        price = self._coordinator.cost_model.user_price(stats, level)
-        reading = self._coordinator.cost_model.meter(
+    def _bill(self, stats, level: ServiceLevel, venue: str):
+        """The one billing point: ``(price, meter reading)`` of an
+        execution at ``level`` — what :meth:`_completed` bills and what
+        the activity registry projects with, so projection and bill can
+        never disagree at the terminal state."""
+        cost_model = self._coordinator.cost_model
+        price = cost_model.user_price(stats, level)
+        return price, cost_model.meter(
             stats,
             venue,
             price,
-            get_price_per_1000=(
-                self._coordinator.store.profile.get_price_per_1000
-            ),
+            get_price_per_1000=self._coordinator.store.profile.get_price_per_1000,
         )
+
+    def _projection_price(self, stats, level_value: str, venue: str):
+        _, reading = self._bill(stats, ServiceLevel.from_string(level_value), venue)
         return reading.billed_nanodollars, reading.axes
 
     def _on_guard_decision(self, decision: GuardDecision) -> None:
         self._m_guard.inc(rule=decision.rule, action=decision.action)
         record = self._queries.get(decision.query_id)
         if record is not None:
-            self._journal_event(
-                record,
-                "guard",
-                rule=decision.rule,
-                action=decision.action,
-                applied=decision.applied,
-                reason=decision.reason,
-            )
+            self._observer.guard_decided(record, decision)
 
     def _collect_queue_depth(self) -> None:
         self._m_queue_depth.set(
@@ -429,56 +422,16 @@ class QueryServer:
         )
         self._queries[query_id] = record
         self._m_submitted.inc(level=level.value)
-        fp: Fingerprint | None = None
-        if self.obs.statements.enabled or self.obs.journal.enabled:
+        observer = self._observer
+        if observer is not None:
             fp = self._fingerprint_cache.get(sql)
             if fp is None:
-                fp = fingerprint(sql)
-                self._fingerprint_cache[sql] = fp
-            self._fingerprints[query_id] = fp
-        if self.obs.activity.enabled:
-            self.obs.activity.begin(
-                query_id,
-                tenant=record.tenant,
-                level=record.level.value,
-                requested_level=level.value,
-                fingerprint=fp.id if fp is not None else None,
+                fp = self._fingerprint_cache[sql] = fingerprint(sql)
+            observer.submitted(
+                record,
+                fp,
                 deadline_s=self.deadline_for(record.level),
-                admission=decision.action,
-            )
-        admission_attrs = (
-            decision.to_attrs() if decision.action != "admit" else {}
-        )
-        tracer = self.obs.tracer
-        if tracer.enabled:
-            # price_fraction + deadline_s let traces join SLO records by
-            # query id without re-deriving level semantics.
-            self._root_spans[query_id] = tracer.start(
-                query_id,
-                "query",
-                parent=ROOT,
-                level=record.level.value,
-                sql=sql,
-                tenant=record.tenant,
-                price_fraction=record.level.price_fraction,
-                deadline_s=self.deadline_for(record.level),
-                fingerprint=fp.id if fp is not None else None,
-                **admission_attrs,
-            )
-            tracer.start(query_id, "submit", level=record.level.value).finish(
-                price_per_tb=self.price_quote(record.level)
-            )
-        if self.obs.journal.enabled:
-            self.obs.journal.event(
-                "submit",
-                query_id,
-                span_id=self._root_span_id(query_id),
-                fingerprint=fp.id if fp is not None else None,
-                level=record.level.value,
-                tenant=record.tenant,
                 price_per_tb=self.price_quote(record.level),
-                deadline_s=self.deadline_for(record.level),
-                **admission_attrs,
             )
         live_counted = False
         try:
@@ -489,12 +442,6 @@ class QueryServer:
                 )
             if decision.action == "downgrade":
                 self._m_admission_downgraded.inc(reason=decision.reason)
-                self._journal_event(
-                    record,
-                    "downgrade",
-                    reason=decision.reason,
-                    requested_level=level.value,
-                )
             self._live_inc(record.tenant)
             live_counted = True
             if record.level is ServiceLevel.IMMEDIATE:
@@ -519,11 +466,8 @@ class QueryServer:
             if live_counted:
                 self._live_dec(record.tenant)
             self._queries.pop(query_id, None)
-            self._root_spans.pop(query_id, None)
-            tracer.end_open(query_id, "error", error=str(exc))
-            self._journal_event(record, "reject", error=str(exc), reason=reason)
-            self._fingerprints.pop(query_id, None)
-            self.obs.activity.finish_rejected(query_id, reason)
+            if observer is not None:
+                observer.rejected(record, str(exc), reason)
             raise
         if self.guard is not None:
             # An idle cluster dispatches (and opens the execution window)
@@ -543,25 +487,6 @@ class QueryServer:
         else:
             self._tenant_live.pop(tenant, None)
 
-    def _root_span_id(self, query_id: str) -> int | None:
-        span = self._root_spans.get(query_id)
-        return span.span_id if span is not None else None
-
-    def _journal_event(
-        self, record: ServerQuery, event: str, **attrs: object
-    ) -> None:
-        if not self.obs.journal.enabled:
-            return
-        fp = self._fingerprints.get(record.query_id)
-        self.obs.journal.event(
-            event,
-            record.query_id,
-            span_id=self._root_span_id(record.query_id),
-            fingerprint=fp.id if fp is not None else None,
-            level=record.level.value,
-            **attrs,
-        )
-
     def _enqueue(self, record: ServerQuery) -> None:
         if self._scheduler.depth(record.level) >= self._max_queue_length:
             self._admission.record_queue_full()
@@ -576,39 +501,19 @@ class QueryServer:
                 self._grace_heap,
                 (record.grace_deadline, self._grace_seq, record),
             )
-        watermark = "high" if record.level is ServiceLevel.RELAXED else "low"
-        share = self._scheduler.share_of(record.tenant)
-        if self.obs.tracer.enabled:
-            self._queue_spans[record.query_id] = self.obs.tracer.start(
-                record.query_id,
-                "queue",
-                level=record.level.value,
+        if self._observer is not None:
+            watermark = "high" if record.level is ServiceLevel.RELAXED else "low"
+            self._observer.queued(
+                record,
                 reason=f"above_{watermark}_watermark",
-                share=share,
-                finish_tag=round(finish_tag, 9),
+                share=self._scheduler.share_of(record.tenant),
+                finish_tag=finish_tag,
             )
-        self._journal_event(
-            record,
-            "queue",
-            reason=f"above_{watermark}_watermark",
-            share=share,
-            finish_tag=round(finish_tag, 9),
-        )
-        self.obs.activity.mark_queued(record.query_id)
 
     def _dispatch(self, record: ServerQuery) -> None:
-        self._close_queue_span(record)
-        if self.obs.tracer.enabled:
-            self.obs.tracer.start(
-                record.query_id, "dispatch", level=record.level.value
-            ).finish()
-        self._journal_event(
-            record,
-            "dispatch",
-            held_s=round(self._sim.now - record.submitted_at, 9),
-        )
+        if self._observer is not None:
+            self._observer.dispatched(record)
         record.dispatched_at = self._sim.now
-        self.obs.activity.mark_dispatched(record.query_id)
         record.execution = self._coordinator.submit(
             sql=record.sql,
             cf_enabled=record.level.cf_enabled,
@@ -648,24 +553,10 @@ class QueryServer:
             return False
         if record.execution is None:
             record.cancelled = True
-            self._close_queue_span(record, status="cancelled")
-            self._journal_event(record, "cancel", stage="held")
-            self.obs.ledger.void(
-                query_id,
-                tenant=record.tenant,
-                level=record.level.value,
-                venue="none",
-                span_id=self._root_span_id(query_id),
-                reason="cancelled_held",
-            )
-            self._fingerprints.pop(query_id, None)
-            self._root_spans.pop(query_id, None)
-            self.obs.tracer.end_open(
-                query_id, "cancelled", error="cancelled by user"
-            )
+            if self._observer is not None:
+                self._observer.cancelled_held(record)
             self._scheduler.remove(query_id)
             self._live_dec(record.tenant)
-            self.obs.activity.finish_cancelled(query_id, "cancelled_held")
             if record.on_finish is not None:
                 record.on_finish(record)
             return True
@@ -688,23 +579,11 @@ class QueryServer:
         ):
             return False
         self._scheduler.remove(query_id)
-        self._close_queue_span(record, status="downgraded")
         record.level = ServiceLevel.BEST_EFFORT
         record.grace_deadline = None
         self._m_admission_downgraded.inc(reason=reason)
-        self._journal_event(
-            record,
-            "downgrade",
-            reason=reason,
-            requested_level=(
-                record.requested_level.value
-                if record.requested_level is not None
-                else None
-            ),
-        )
-        self.obs.activity.downgrade(
-            query_id, ServiceLevel.BEST_EFFORT.value, reason
-        )
+        if self._observer is not None:
+            self._observer.downgraded(record, reason)
         if (
             self._coordinator.below_low_watermark()
             or self._scheduler.depth(ServiceLevel.BEST_EFFORT)
@@ -717,13 +596,6 @@ class QueryServer:
         else:
             self._enqueue(record)
         return True
-
-    def _close_queue_span(
-        self, record: ServerQuery, status: str = "ok"
-    ) -> None:
-        span = self._queue_spans.pop(record.query_id, None)
-        if span is not None:
-            span.finish(status, held_s=self._sim.now - record.submitted_at)
 
     # -- scheduling -----------------------------------------------------------------
 
@@ -782,22 +654,9 @@ class QueryServer:
             if record is None:
                 break
             group.append(record)
-        for record in group:
-            self._close_queue_span(record)
-            if self.obs.tracer.enabled:
-                self.obs.tracer.start(
-                    record.query_id,
-                    "dispatch",
-                    level=record.level.value,
-                    batch=True,
-                ).finish()
-            self._journal_event(
-                record,
-                "dispatch",
-                batch=True,
-                held_s=round(self._sim.now - record.submitted_at, 9),
-            )
-            self.obs.activity.mark_dispatched(record.query_id)
+        if self._observer is not None:
+            for record in group:
+                self._observer.dispatched(record, batch=True)
         executions = self._coordinator.submit_shared_batch(
             [record.sql for record in group],
             [record.query_id for record in group],
@@ -813,7 +672,6 @@ class QueryServer:
                 self._completed(record, execution)
 
     def _completed(self, record: ServerQuery, execution: QueryExecution) -> None:
-        span_id = self._root_span_id(record.query_id)
         self._live_dec(record.tenant)
         deadline = self.deadline_for(record.level)
         pending = record.pending_time_s
@@ -824,229 +682,35 @@ class QueryServer:
         )
         reading = None
         if execution.result is not None:
-            stats = execution.result.stats
-            venue = (
-                execution.venue.value
-                if execution.venue is not None
-                else "none"
+            # The meter reading is the integer bill and feeds the ledger,
+            # the statement store and the activity registry alike.
+            record.price, reading = self._bill(
+                execution.result.stats,
+                record.level,
+                execution.venue.value if execution.venue is not None else "none",
             )
-            record.price = self._coordinator.cost_model.user_price(
-                stats, record.level
-            )
-            if self.obs.ledger.enabled or self.obs.statements.enabled:
-                # One meter reading feeds the ledger, the statement
-                # store, and price_nanodollars, so the three surfaces
-                # agree to the nanodollar by construction.
-                reading = self._coordinator.cost_model.meter(
-                    stats,
-                    venue,
-                    record.price,
-                    get_price_per_1000=(
-                        self._coordinator.store.profile.get_price_per_1000
-                    ),
-                )
-                record.price_nanodollars = reading.billed_nanodollars
-            else:
-                record.price_nanodollars = round(
-                    record.price * NANOS_PER_DOLLAR
-                )
-            if self.obs.ledger.enabled and reading is not None:
-                self.obs.ledger.charge_query(
-                    record.query_id,
-                    axes=reading.axes,
-                    billed_nanodollars=reading.billed_nanodollars,
-                    tenant=record.tenant,
-                    level=record.level.value,
-                    venue=venue,
-                    span_id=span_id,
-                    bytes_scanned=stats.bytes_scanned,
-                    data_inflation=self._coordinator.config.data_inflation,
-                    price_per_tb=self.price_quote(record.level),
-                )
+            record.price_nanodollars = reading.billed_nanodollars
             self._m_billed.inc(record.price, level=record.level.value)
             self._m_tenant_billed.inc(record.price, tenant=record.tenant)
             if slack is not None:
                 self._m_slack.observe(slack, level=record.level.value)
-            if pending is not None:
-                self.obs.slo.record(
-                    query_id=record.query_id,
-                    level=record.level.value,
-                    submitted_at=record.submitted_at,
-                    finished_at=self._sim.now,
-                    deadline_s=deadline,
-                    actual_s=pending,
-                    billed=record.price,
-                )
-            root = self._root_spans.pop(record.query_id, None)
-            if root is not None:
-                self.obs.tracer.start(
-                    record.query_id,
-                    "bill",
-                    parent=root,
-                    level=record.level.value,
-                    price=record.price,
-                    price_per_tb=self.price_quote(record.level),
-                    price_fraction=record.level.price_fraction,
-                    bytes_scanned=execution.result.stats.bytes_scanned,
-                    deadline_s=deadline,
-                    slack_s=slack,
-                ).finish()
-            self.obs.tracer.end_open(record.query_id, "ok")
-            if self.obs.activity.enabled:
-                projection = self.obs.activity.finish_billed(
-                    record.query_id,
-                    record.price_nanodollars,
-                    axes=reading.axes if reading is not None else None,
-                )
-                if projection is not None:
-                    # Estimated-vs-actual goes to the journal before
-                    # _observe_statement pops the fingerprint mapping.
-                    self._journal_event(
-                        record,
-                        "projection",
-                        estimated_nanodollars=(
-                            projection.estimated_nanodollars
-                        ),
-                        actual_nanodollars=projection.actual_nanodollars,
-                        ape=round(projection.ape, 9),
-                        source=projection.source,
-                    )
-        else:
-            # The coordinator's failure path already closed the trace with
-            # an error/cancelled status; this is only the safety net.
-            self._root_spans.pop(record.query_id, None)
-            self.obs.tracer.end_open(
-                record.query_id, "error", error=execution.error or ""
+        if self._observer is not None:
+            self._observer.completed(
+                record,
+                execution,
+                reading,
+                deadline_s=deadline,
+                slack_s=slack,
+                price_per_tb=self.price_quote(record.level),
+                data_inflation=self._coordinator.config.data_inflation,
             )
-            if record.cancelled or execution.error == "cancelled by user":
-                self.obs.ledger.void(
-                    record.query_id,
-                    tenant=record.tenant,
-                    level=record.level.value,
-                    venue=(
-                        execution.venue.value
-                        if execution.venue is not None
-                        else "none"
-                    ),
-                    span_id=span_id,
-                    reason="cancelled",
-                )
-                self.obs.activity.finish_cancelled(record.query_id)
-            else:
-                self.obs.activity.finish_failed(
-                    record.query_id, execution.error
-                )
-        self._observe_statement(
-            record,
-            execution,
-            span_id,
-            slack,
-            attribution=reading.attribution if reading is not None else None,
-        )
-        if record.pending_time_s is not None:
-            self._m_pending.observe(
-                record.pending_time_s, level=record.level.value
-            )
+        if pending is not None:
+            self._m_pending.observe(pending, level=record.level.value)
         if record.on_finish is not None:
             record.on_finish(record)
         # A finished query frees capacity: give held queries a chance now
         # rather than waiting for the next tick.
         self._drain()
-
-    def _observe_statement(
-        self,
-        record: ServerQuery,
-        execution: QueryExecution,
-        span_id: int | None,
-        slack: float | None,
-        attribution=None,
-    ) -> None:
-        """Fold one completion into the statement store and the journal
-        (including the tail-based capture decision)."""
-        obs = self.obs
-        if not (obs.statements.enabled or obs.journal.enabled):
-            return
-        fp = self._fingerprints.pop(record.query_id, None)
-        if fp is None:
-            return
-        error = execution.error is not None
-        time_s = execution.execution_time_s or 0.0
-        pending = record.pending_time_s
-        stats = (
-            execution.result.stats if execution.result is not None else None
-        )
-        venue = (
-            execution.venue.value if execution.venue is not None else "none"
-        )
-        if obs.statements.enabled:
-            if attribution is None and stats is not None:
-                attribution = self._coordinator.cost_model.attribution(
-                    stats,
-                    venue,
-                    record.price,
-                    get_price_per_1000=(
-                        self._coordinator.store.profile.get_price_per_1000
-                    ),
-                )
-            obs.statements.record(
-                fp,
-                record.level.value,
-                time_s=time_s,
-                pending_s=pending or 0.0,
-                billed=record.price,
-                attribution=attribution,
-                stats=stats,
-                plan_shape=execution.plan_shape,
-                error=error,
-                tenant=record.tenant,
-            )
-        if not obs.journal.enabled:
-            return
-        journal = obs.journal
-        attrs: dict[str, object] = {
-            "venue": venue,
-            "execution_s": round(time_s, 9),
-            "pending_s": round(pending, 9) if pending is not None else None,
-            "slack_s": round(slack, 9) if slack is not None else None,
-            "billed_dollars": round(record.price, 12),
-            "bytes_scanned": stats.bytes_scanned if stats is not None else 0,
-            "rows_produced": (
-                stats.rows_produced if stats is not None else 0
-            ),
-            "plan_shape": execution.plan_shape,
-        }
-        if error:
-            attrs["error"] = execution.error
-        journal.event(
-            "error" if error else "finish",
-            record.query_id,
-            span_id=span_id,
-            fingerprint=fp.id,
-            level=record.level.value,
-            **attrs,
-        )
-        reasons = journal.capture_reasons(
-            time_s=execution.execution_time_s,
-            billed=record.price if not error else None,
-            slack_s=slack,
-            error=error,
-            downgraded=record.downgraded,
-        )
-        if reasons:
-            try:
-                profile = self.query_profile(record.query_id)
-            except PixelsError:
-                profile = None
-            journal.capture(
-                record.query_id,
-                reasons,
-                profile,
-                span_id=span_id,
-                fingerprint=fp.id,
-                level=record.level.value,
-                slack_s=round(slack, 9) if slack is not None else None,
-                billed_dollars=round(record.price, 12),
-            )
 
     # -- profiling ----------------------------------------------------------------------
 
@@ -1067,8 +731,8 @@ class QueryServer:
         if execution is None or execution.finished_at is None:
             raise PixelsError(f"query {query_id!r} has not finished")
         timeline = (
-            self.obs.tracer.timeline(query_id)
-            if self.obs.tracer.enabled
+            self._coordinator.tracer.timeline(query_id)
+            if self.obs is not None
             else None
         )
         venue = (

@@ -11,22 +11,22 @@ Three pieces, all simulation-clock-aware and deterministic:
 * :mod:`repro.obs.explain` — the EXPLAIN ANALYZE renderer over the
   executor's per-operator profiles.
 
-:class:`Instrumentation` bundles a tracer and a registry and is what
-components thread through their constructors.  The default everywhere is
-:meth:`Instrumentation.disabled` — inert tracer, inert registry — so an
-un-instrumented run pays only a no-op call per would-be event.
+:class:`Instrumentation` bundles the live sinks and is what components
+thread through their constructors.  Observability off is ``obs is
+None``: no sink is built; span handles and metric instruments then come
+from the null tracer and registry (:data:`NOOP_TRACER`,
+:class:`NoopMetricsRegistry`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.obs.activity import (
     ActivityRegistry,
     GuardDecision,
     GuardPolicy,
-    NoopActivityRegistry,
     ProjectionGuard,
     ProjectionRecord,
 )
@@ -46,11 +46,11 @@ from repro.obs.metrics import (
     NoopMetricsRegistry,
 )
 from repro.obs.fingerprint import Fingerprint, fingerprint, plan_shape_hash
-from repro.obs.journal import CapturePolicy, NoopQueryJournal, QueryJournal
-from repro.obs.ledger import MeterEvent, MeterLedger, NoopMeterLedger
-from repro.obs.spend import NoopSpendAccountant, SpendAccountant
-from repro.obs.slo import NoopSloTracker, SloObjective, SloRecord, SloTracker
-from repro.obs.statements import NoopStatementStore, StatementStore
+from repro.obs.journal import CapturePolicy, QueryJournal
+from repro.obs.ledger import MeterEvent, MeterLedger
+from repro.obs.spend import SpendAccountant
+from repro.obs.slo import SloObjective, SloRecord, SloTracker
+from repro.obs.statements import StatementStore
 from repro.obs.tracer import NOOP_SPAN, NOOP_TRACER, ROOT, NoopTracer, Span, Tracer
 
 __all__ = [
@@ -67,13 +67,7 @@ __all__ = [
     "MeterEvent",
     "MeterLedger",
     "MetricsRegistry",
-    "NoopActivityRegistry",
-    "NoopMeterLedger",
     "NoopMetricsRegistry",
-    "NoopQueryJournal",
-    "NoopSloTracker",
-    "NoopSpendAccountant",
-    "NoopStatementStore",
     "NoopTracer",
     "NOOP_SPAN",
     "NOOP_TRACER",
@@ -100,44 +94,19 @@ __all__ = [
 
 @dataclass
 class Instrumentation:
-    """A tracer + metrics registry + SLO tracker + statement store +
-    query journal + metering ledger + spend accountant + live activity
-    registry threaded through the system.  All eight default to their
-    inert twins."""
+    """The live observability bundle threaded through the system: a
+    tracer + metrics registry + SLO tracker + statement store + query
+    journal + metering ledger + spend accountant + live activity
+    registry.  Observability off is no bundle at all (``obs is None``)."""
 
-    tracer: Tracer = field(default_factory=NoopTracer)
-    metrics: MetricsRegistry = field(default_factory=NoopMetricsRegistry)
-    slo: SloTracker = field(default_factory=NoopSloTracker)
-    statements: StatementStore = field(default_factory=NoopStatementStore)
-    journal: QueryJournal = field(default_factory=NoopQueryJournal)
-    ledger: MeterLedger = field(default_factory=NoopMeterLedger)
-    spend: SpendAccountant = field(default_factory=NoopSpendAccountant)
-    activity: ActivityRegistry = field(default_factory=NoopActivityRegistry)
-
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.tracer.enabled
-            or self.metrics.enabled
-            or self.slo.enabled
-            or self.statements.enabled
-            or self.journal.enabled
-            or self.ledger.enabled
-        )
-
-    @staticmethod
-    def disabled() -> "Instrumentation":
-        """The no-op default: nothing recorded, near-zero overhead."""
-        return Instrumentation(
-            NoopTracer(),
-            NoopMetricsRegistry(),
-            NoopSloTracker(),
-            NoopStatementStore(),
-            NoopQueryJournal(),
-            NoopMeterLedger(),
-            NoopSpendAccountant(),
-            NoopActivityRegistry(),
-        )
+    tracer: Tracer
+    metrics: MetricsRegistry
+    slo: SloTracker
+    statements: StatementStore
+    journal: QueryJournal
+    ledger: MeterLedger
+    spend: SpendAccountant
+    activity: ActivityRegistry
 
     @staticmethod
     def create(
@@ -155,8 +124,7 @@ class Instrumentation:
         spend = SpendAccountant(budgets)
         ledger.add_listener(spend.on_event)
         statements = StatementStore()
-        activity = ActivityRegistry(clock)
-        activity.bind(statements=statements)
+        activity = ActivityRegistry(clock, statements)
         metrics = MetricsRegistry()
         activity.bind_metrics(metrics)
         return Instrumentation(

@@ -58,12 +58,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.engine.pipeline import BLOCKING_PLAN_NODES
-from repro.obs.profiler import NANOS_PER_DOLLAR, _distribute
+from repro.turbo.cost import AXES, NANOS_PER_DOLLAR, _distribute
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.executor import OperatorProfile, QueryStats
+    from repro.obs import Instrumentation
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.spend import SpendAccountant
     from repro.obs.statements import StatementStore
 
 #: Lifecycle states, in rough progression order.  ``merging`` is the CF
@@ -82,9 +82,6 @@ LIFECYCLE_STATES = (
 )
 
 TERMINAL_STATES = frozenset({"billed", "cancelled", "rejected", "failed"})
-
-#: Resource axes of a projection split — same order as the ledger's.
-RESOURCE_AXES = ("bandwidth", "compute", "requests", "fixed")
 
 
 @dataclass(frozen=True)
@@ -215,11 +212,11 @@ def _split_axes(total: int, weights: dict[str, int] | None) -> dict[str, int]:
         total = 0
     if weights:
         pools = _distribute(
-            total, [float(weights.get(axis, 0)) for axis in RESOURCE_AXES]
+            total, [float(weights.get(axis, 0)) for axis in AXES]
         )
         if sum(pools) == total:
-            return dict(zip(RESOURCE_AXES, pools))
-    return {axis: (total if axis == "fixed" else 0) for axis in RESOURCE_AXES}
+            return dict(zip(AXES, pools))
+    return {axis: (total if axis == "fixed" else 0) for axis in AXES}
 
 
 class ActivityRegistry:
@@ -232,35 +229,25 @@ class ActivityRegistry:
     events or perturbs execution.
     """
 
-    enabled: bool = True
-
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
+    def __init__(
+        self,
+        clock: Callable[[], float] | None = None,
+        statements: "StatementStore | None" = None,
+    ) -> None:
+        """``statements`` is the store the estimator draws priors from."""
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._entries: dict[str, ActivityEntry] = {}
         self._records: list[ProjectionRecord] = []
-        # Bound by the query server (the one component that knows prices).
-        self._pricer: (
+        #: The pricing callback ``(stats, level, venue) → (nanodollars,
+        #: axes)``, set by the query server (the one component that
+        #: knows prices).
+        self.pricer: (
             Callable[["QueryStats", str, str], tuple[int, dict[str, int]]] | None
         ) = None
-        self._statements: "StatementStore | None" = None
+        self._statements = statements
         self._projected_series: set[str] = set()
 
     # -- wiring ---------------------------------------------------------------
-
-    def bind(
-        self,
-        pricer: (
-            Callable[["QueryStats", str, str], tuple[int, dict[str, int]]] | None
-        ) = None,
-        statements: "StatementStore | None" = None,
-    ) -> None:
-        """Attach the server-owned pricing callback
-        (``(stats, level, venue) → (nanodollars, axes)``) and the
-        statement store the estimator draws priors from."""
-        if pricer is not None:
-            self._pricer = pricer
-        if statements is not None and statements.enabled:
-            self._statements = statements
 
     def bind_metrics(self, registry: "MetricsRegistry") -> None:
         """Register the live-activity gauges (collector-refreshed, so the
@@ -271,8 +258,6 @@ class ActivityRegistry:
             ACTIVITY_QUERIES_METRIC,
         )
 
-        if not registry.enabled:
-            return
         gauge_states = registry.gauge(
             ACTIVITY_QUERIES_METRIC,
             "Queries in the live activity registry, by lifecycle state",
@@ -417,9 +402,9 @@ class ActivityRegistry:
         if (
             stats is not None
             and entry.level is not None
-            and self._pricer is not None
+            and self.pricer is not None
         ):
-            nanos, axes = self._pricer(stats, entry.level, venue)
+            nanos, axes = self.pricer(stats, entry.level, venue)
             entry.final_nanodollars = nanos
             entry.final_axes = axes
             if entry.estimate_nanodollars is None:
@@ -679,54 +664,6 @@ class ActivityRegistry:
         )
 
 
-class NoopActivityRegistry(ActivityRegistry):
-    """Inert twin: every hook is a no-op, every view is empty."""
-
-    enabled: bool = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def bind(self, pricer=None, statements=None) -> None:  # type: ignore[override]
-        pass
-
-    def bind_metrics(self, registry) -> None:  # type: ignore[override]
-        pass
-
-    def begin(self, query_id, **kwargs):  # type: ignore[override]
-        return None
-
-    def mark_queued(self, query_id) -> None:  # type: ignore[override]
-        pass
-
-    def mark_dispatched(self, query_id) -> None:  # type: ignore[override]
-        pass
-
-    def downgrade(self, query_id, level, reason) -> None:  # type: ignore[override]
-        pass
-
-    def begin_execution(self, query_id, **kwargs) -> None:  # type: ignore[override]
-        pass
-
-    def finish_billed(self, query_id, billed_nanodollars, axes=None):  # type: ignore[override]
-        return None
-
-    def finish_cancelled(self, query_id, reason="cancelled") -> None:  # type: ignore[override]
-        pass
-
-    def finish_failed(self, query_id, error=None) -> None:  # type: ignore[override]
-        pass
-
-    def finish_rejected(self, query_id, reason=None) -> None:  # type: ignore[override]
-        pass
-
-    def export_json(self, include_terminal: bool = True) -> str:  # type: ignore[override]
-        return ""
-
-    def export_projection_json(self) -> str:  # type: ignore[override]
-        return ""
-
-
 # -- projection-driven guards -------------------------------------------------
 
 
@@ -809,8 +746,7 @@ class ProjectionGuard:
     def __init__(
         self,
         policy: GuardPolicy,
-        registry: ActivityRegistry,
-        spend: "SpendAccountant",
+        obs: "Instrumentation",
         *,
         canceller: Callable[[str], bool] | None = None,
         downgrader: Callable[[str, str], bool] | None = None,
@@ -818,8 +754,8 @@ class ProjectionGuard:
         on_decision: Callable[[GuardDecision], None] | None = None,
     ) -> None:
         self.policy = policy
-        self._registry = registry
-        self._spend = spend
+        self._registry = obs.activity
+        self._spend = obs.spend
         self._canceller = canceller
         self._downgrader = downgrader
         #: Where guard alerts go (an ``AlertEvent`` consumer); public so
@@ -833,7 +769,7 @@ class ProjectionGuard:
         """One guard pass over the live entries; at most one decision per
         (query, rule) for the query's lifetime."""
         decisions: list[GuardDecision] = []
-        budgets = self._spend.budgets() if self._spend.enabled else {}
+        budgets = self._spend.budgets()
         for entry in self._registry.live_entries():
             if self.policy.budget_action is not None and entry.tenant in budgets:
                 decision = self._check_budget(

@@ -28,9 +28,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
-#: The resource axes one user charge decomposes into — the same four
-#: pools :func:`repro.obs.profiler.split_attribution_nanodollars` emits.
-AXES = ("bandwidth", "compute", "requests", "fixed")
+from repro.turbo.cost import AXES
 
 #: Whose money an event moves: the user's bill or the operator's cloud
 #: spend (§2's provider cost).
@@ -118,8 +116,6 @@ class MeterLedger:
     ``void`` events.  Listeners (the spend accountant) are notified on
     every append.
     """
-
-    enabled: bool = True
 
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock or (lambda: 0.0)
@@ -342,24 +338,3 @@ def events_jsonl(events: Iterable[MeterEvent]) -> str:
     building corrupted ledgers)."""
     lines = [json.dumps(event.to_dict(), sort_keys=True) for event in events]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-class NoopMeterLedger(MeterLedger):
-    """Inert twin: swallows charges, exports nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def charge(self, query_id, **kwargs):  # type: ignore[override]
-        return None
-
-    def charge_query(self, query_id, **kwargs):  # type: ignore[override]
-        return []
-
-    def void(self, query_id, **kwargs):  # type: ignore[override]
-        return []
-
-    def export_jsonl(self) -> str:
-        return ""

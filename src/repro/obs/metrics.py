@@ -10,9 +10,9 @@ buffer-pool occupancy, the object store's cumulative counters) are
 refreshed lazily by collector callbacks that run just before each
 render, so they cost nothing between scrapes.
 
-:class:`NoopMetricsRegistry` is the disabled twin: its instruments
-swallow updates and its exposition is empty, so instrumented components
-pay one no-op call per update when observability is off.
+:class:`NoopMetricsRegistry` is the null registry components create
+their instruments on when observability is off: its instruments swallow
+updates, so an unobserved component pays one no-op call per update.
 """
 
 from __future__ import annotations
@@ -152,6 +152,12 @@ class Gauge(_CardinalityGuard):
 #: object-store scale up to the multi-minute pending times of held queries.
 DEFAULT_BUCKETS = (
     0.005, 0.025, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0, 1800.0,
+)
+
+#: Deadline-slack histogram buckets in seconds.  Slack = deadline −
+#: actual, so negative buckets measure *by how much* a deadline was missed.
+SLACK_BUCKETS = (
+    -1800.0, -300.0, -60.0, -5.0, 0.0, 5.0, 60.0, 300.0, 1800.0,
 )
 
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.obs.profiler import NANOS_PER_DOLLAR, ProfileNode
+from repro.obs.profiler import ProfileNode
+from repro.turbo.cost import NANOS_PER_DOLLAR
 
 #: Measured axes a delta can be pinned on, with the resource each one
 #: implicates (the same split the cost attribution uses).

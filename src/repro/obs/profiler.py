@@ -32,14 +32,15 @@ Export formats:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.engine.executor import OperatorProfile
-
-if TYPE_CHECKING:  # import cycle: turbo.coordinator imports repro.obs
-    from repro.turbo.cost import CostAttribution
-
-NANOS_PER_DOLLAR = 1_000_000_000
+from repro.turbo.cost import (
+    NANOS_PER_DOLLAR,
+    CostAttribution,
+    _distribute,
+    split_attribution_nanodollars,
+)
 
 #: Span name under which the executor's operator tree is grafted.
 EXECUTE_SPAN = "execute"
@@ -180,60 +181,8 @@ def _find_last(root: ProfileNode, name: str) -> ProfileNode | None:
     return found
 
 
-def _distribute(pool: int, weights: list[float]) -> list[int]:
-    """Split ``pool`` (an int) proportionally to ``weights``, exactly.
-
-    Largest-remainder rounding: floor every share, then hand the leftover
-    units to the largest fractional remainders (ties broken by index, so
-    the split is deterministic).  Returns all zeros when the pool or the
-    weights are empty — the caller must then park the pool elsewhere.
-    """
-    total = sum(weights)
-    if pool <= 0 or total <= 0:
-        return [0] * len(weights)
-    exact = [pool * w / total for w in weights]
-    shares = [int(x) for x in exact]
-    leftover = pool - sum(shares)
-    order = sorted(
-        range(len(weights)), key=lambda i: (shares[i] - exact[i], i)
-    )
-    for i in order[:leftover]:
-        shares[i] += 1
-    return shares
-
-
-def split_attribution_nanodollars(
-    billed: float, attribution: "CostAttribution | None"
-) -> tuple[int, list[int]]:
-    """Billed $ → integer nanodollars split by resource, exactly.
-
-    The one splitter behind the profiler pools, the statement store, the
-    metering ledger, and :meth:`~repro.turbo.cost.CostModel.meter` — a
-    single implementation is what lets the billing reconciler demand
-    *integer equality* between those surfaces rather than a tolerance.
-    Largest-remainder over the cost model's (bandwidth, compute, request,
-    fixed) components; when the components carry no weight the whole bill
-    parks in the fixed pool, so the four shares always sum to the billed
-    total.  Returns ``(billed_nanodollars, [bandwidth, compute, requests,
-    fixed])``.
-    """
-    billed_nano = round(billed * NANOS_PER_DOLLAR)
-    if attribution is None:
-        return billed_nano, [0, 0, 0, billed_nano]
-    components = [  # clamp float residue: a -1e-18 weight must not flip signs
-        max(0.0, attribution.bandwidth_dollars),
-        max(0.0, attribution.compute_dollars),
-        max(0.0, attribution.request_dollars),
-        max(0.0, attribution.fixed_dollars),
-    ]
-    pools = _distribute(billed_nano, components)
-    if sum(pools) != billed_nano:  # all-zero attribution: park in fixed
-        pools = [0, 0, 0, billed_nano]
-    return billed_nano, pools
-
-
 def _attribute_dollars(
-    root: ProfileNode, attribution: "CostAttribution"
+    root: ProfileNode, attribution: CostAttribution
 ) -> int:
     """Distribute the billed price over the tree, in integer nanodollars.
 
@@ -269,7 +218,7 @@ class QueryProfile:
 
     query_id: str
     root: ProfileNode
-    attribution: "CostAttribution"
+    attribution: CostAttribution
     billed_nanodollars: int
 
     # -- folded-stack exports ------------------------------------------------
@@ -279,9 +228,6 @@ class QueryProfile:
 
     def folded_dollars(self) -> str:
         return render_folded(self.root, "dollars")
-
-    def folded_wall(self) -> str:
-        return render_folded(self.root, "wall")
 
     # -- flame graphs --------------------------------------------------------
 
@@ -338,7 +284,7 @@ def build_query_profile(
     query_id: str,
     timeline: dict | None,
     operators: OperatorProfile | None,
-    attribution: "CostAttribution",
+    attribution: CostAttribution,
 ) -> QueryProfile:
     """Fuse a tracer timeline + executor operator profile into one tree
     and attribute the billed price over it.

@@ -51,11 +51,8 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.obs.ledger import ACCOUNTS, AXES, KINDS, MeterEvent
-from repro.obs.profiler import (
-    NANOS_PER_DOLLAR,
-    split_attribution_nanodollars,
-)
+from repro.obs.ledger import ACCOUNTS, KINDS, MeterEvent
+from repro.turbo.cost import AXES, NANOS_PER_DOLLAR, split_attribution_nanodollars
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.query_server import QueryServer
@@ -262,6 +259,8 @@ def reconcile_server(
     """
     from repro.errors import PixelsError
 
+    if server.obs is None:
+        raise PixelsError("reconciliation needs an observed server")
     ledger = server.obs.ledger
     report = (
         reconcile_events(ledger.events())

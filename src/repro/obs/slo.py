@@ -17,9 +17,8 @@ tracker maintains
 
 Everything runs on completed-query timestamps from the virtual clock,
 so same-seed runs export byte-identical JSON.  The tracker never feeds
-back into admission, scheduling, or billing: with the
-:class:`NoopSloTracker` default the whole subsystem is a no-op call per
-completed query.
+back into admission, scheduling, or billing, and without observability
+no tracker exists at all.
 """
 
 from __future__ import annotations
@@ -27,12 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-#: Slack histogram buckets in seconds.  Slack = deadline − actual, so
-#: negative buckets measure *by how much* a deadline was missed.
-SLACK_BUCKETS = (
-    -1800.0, -300.0, -60.0, -5.0, 0.0, 5.0, 60.0, 300.0, 1800.0,
-)
 
 #: Violations are strict: actual must exceed the deadline by more than
 #: this guard band (absorbs float noise from simulated timestamps).
@@ -217,8 +210,6 @@ class _LevelState:
 class SloTracker:
     """Deadline-compliance accounting across service levels."""
 
-    enabled: bool = True
-
     def __init__(
         self,
         objectives: list[SloObjective] | None = None,
@@ -346,21 +337,3 @@ class SloTracker:
             "summary": self.snapshot(),
         }
         return json.dumps(document, sort_keys=True, indent=2)
-
-
-class NoopSloTracker(SloTracker):
-    """The disabled twin: swallows records, reports nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(objectives=[])
-
-    def record(self, *args: object, **kwargs: object) -> SloRecord | None:
-        return None
-
-    def snapshot(self) -> dict:
-        return {"levels": {}}
-
-    def export_json(self) -> str:
-        return json.dumps({"records": [], "summary": {"levels": {}}})

@@ -18,7 +18,7 @@ import json
 from typing import TYPE_CHECKING
 
 from repro.obs.ledger import MeterEvent
-from repro.obs.profiler import NANOS_PER_DOLLAR
+from repro.turbo.cost import NANOS_PER_DOLLAR
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.alerts import ThresholdRule
@@ -48,8 +48,6 @@ def budget_rules(budgets: dict[str, float]) -> "list[ThresholdRule]":
 
 class SpendAccountant:
     """Rolling per-tenant/per-level spend over ledger events."""
-
-    enabled: bool = True
 
     def __init__(self, budgets: dict[str, float] | None = None) -> None:
         #: (tenant, level) -> net nanodollars (voids subtract).
@@ -81,9 +79,6 @@ class SpendAccountant:
         )
 
     # -- budgets -------------------------------------------------------------
-
-    def set_budget(self, tenant: str, dollars: float) -> None:
-        self._budgets[tenant] = float(dollars)
 
     def budgets(self) -> dict[str, float]:
         return dict(self._budgets)
@@ -163,18 +158,3 @@ class SpendAccountant:
     def export_json(self) -> str:
         """Byte-stable JSON export of the spend report."""
         return json.dumps(self.report(), indent=2, sort_keys=True) + "\n"
-
-
-class NoopSpendAccountant(SpendAccountant):
-    """Inert twin: ignores events, exports nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def on_event(self, event) -> None:  # type: ignore[override]
-        return None
-
-    def export_json(self) -> str:
-        return ""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.obs.metrics import Histogram
-from repro.obs.profiler import NANOS_PER_DOLLAR, split_attribution_nanodollars
+from repro.turbo.cost import NANOS_PER_DOLLAR, split_attribution_nanodollars
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.fingerprint import Fingerprint
@@ -83,23 +83,9 @@ class StatementEntry:
         return self.cache_hits / lookups if lookups else None
 
 
-def _split_nanodollars(
-    billed: float, attribution: "CostAttribution | None"
-) -> tuple[int, list[int]]:
-    """Billed $ → integer nanodollars split by resource, exactly.
-
-    Delegates to the profiler's shared splitter so the statement store,
-    the flame graphs, and the metering ledger can never disagree by even
-    one nanodollar.
-    """
-    return split_attribution_nanodollars(billed, attribution)
-
-
 class StatementStore:
     """Fingerprint × level × tenant aggregation with deterministic
     exports."""
-
-    enabled: bool = True
 
     def __init__(
         self, time_buckets: Iterable[float] = STATEMENT_TIME_BUCKETS
@@ -150,7 +136,7 @@ class StatementStore:
         entry.time_s += time_s
         entry.pending_s += pending_s
         entry.time_histogram.observe(time_s)
-        billed_nano, pools = _split_nanodollars(billed, attribution)
+        billed_nano, pools = split_attribution_nanodollars(billed, attribution)
         entry.nanodollars += billed_nano
         entry.bandwidth_nanodollars += pools[0]
         entry.compute_nanodollars += pools[1]
@@ -301,21 +287,3 @@ class StatementStore:
             )
             + "\n"
         )
-
-
-class NoopStatementStore(StatementStore):
-    """Inert twin: swallows records, exports nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def record(self, fingerprint, level, **kwargs):  # type: ignore[override]
-        return None
-
-    def render_top(self, k: int = 10, by: str = "dollars") -> str:
-        return ""
-
-    def export_json(self) -> str:
-        return ""

@@ -11,10 +11,10 @@ innermost open span of its trace, and subsequent spans of the same trace
 become its children until it finishes.  An explicit ``parent`` (or
 ``parent=ROOT`` for a forced root) overrides this.
 
-The default tracer everywhere is :data:`NOOP_TRACER`: its ``start``
-returns a shared inert span and records nothing, so instrumentation has
-no cost when observability is off.  Callers guard any *expensive*
-attribute computation behind :attr:`Tracer.enabled`.
+With observability off, components that hold span handles start them
+on :data:`NOOP_TRACER`: its ``start`` returns a shared inert span and
+records nothing.  Callers guard any *expensive* attribute computation
+behind the observability bundle being present (``obs is not None``).
 """
 
 from __future__ import annotations

@@ -257,64 +257,69 @@ class RoverServer:
 
     # -- observability ------------------------------------------------------------------
 
+    def _obs(self, token: str):
+        """Authenticate ``token``; the server's observability bundle (None
+        when observability is off — every endpoint then reads empty)."""
+        self._session(token)
+        return self._query_server.obs
+
     def metrics(self, token: str) -> str:
         """Prometheus text exposition of the server's metrics registry
         (empty unless the system was built with observability on)."""
-        self._session(token)  # any authenticated session may scrape
-        return self._query_server.obs.metrics.render()
+        obs = self._obs(token)  # any authenticated session may scrape
+        return obs.metrics.render() if obs is not None else ""
 
     def trace(self, token: str, query_id: str) -> str:
         """The JSON span timeline of one submitted query."""
-        self._session(token)
-        tracer = self._query_server.obs.tracer
-        if query_id not in tracer.trace_ids():
+        obs = self._obs(token)
+        if obs is None or query_id not in obs.tracer.trace_ids():
             raise NoSuchQueryError(f"no trace for query {query_id!r}")
-        return tracer.export_json(query_id)
+        return obs.tracer.export_json(query_id)
 
     def statements(self, token: str, k: int = 10, by: str = "dollars") -> str:
         """The top-K statement-statistics table (``by`` is one of
         ``time``/``dollars``/``calls``; empty without observability)."""
-        self._session(token)  # any authenticated session may inspect
-        return self._query_server.obs.statements.render_top(k, by)
+        obs = self._obs(token)  # any authenticated session may inspect
+        return obs.statements.render_top(k, by) if obs is not None else ""
 
     def statements_json(self, token: str) -> str:
         """Every statement-statistics entry as byte-stable JSON."""
-        self._session(token)
-        return self._query_server.obs.statements.export_json()
+        obs = self._obs(token)
+        return obs.statements.export_json() if obs is not None else ""
 
     def journal(self, token: str) -> str:
         """The trace-correlated query journal as deterministic JSONL
         (includes tail-based slow-query captures)."""
-        self._session(token)
-        return self._query_server.obs.journal.export_jsonl()
+        obs = self._obs(token)
+        return obs.journal.export_jsonl() if obs is not None else ""
 
     def ledger(self, token: str) -> str:
         """The full metering ledger as byte-stable JSONL — every charge
         and void the server emitted, in sequence order (empty without
         observability)."""
-        self._session(token)  # any authenticated session may audit
-        return self._query_server.obs.ledger.export_jsonl()
+        obs = self._obs(token)  # any authenticated session may audit
+        return obs.ledger.export_jsonl() if obs is not None else ""
 
     def spend(self, token: str) -> str:
         """The per-tenant spend report (net nanodollars, per-level
         split, soft-budget status) as byte-stable JSON."""
-        self._session(token)
-        return self._query_server.obs.spend.export_json()
+        obs = self._obs(token)
+        return obs.spend.export_json() if obs is not None else ""
 
     def activity(self, token: str) -> str:
         """The live query-activity view — every submission's lifecycle
         state, per-operator progress, and projected bill — as byte-stable
         JSON (the ``pg_stat_activity`` of this system; empty without
         observability)."""
-        self._session(token)  # any authenticated session may inspect
-        return self._query_server.obs.activity.export_json()
+        obs = self._obs(token)  # any authenticated session may inspect
+        return obs.activity.export_json() if obs is not None else ""
 
     def projections(self, token: str) -> str:
         """The estimator's accuracy record — estimated vs. actual bill
         per completed query plus the aggregate MAPE — as byte-stable
         JSON."""
-        self._session(token)
-        return self._query_server.obs.activity.export_projection_json()
+        obs = self._obs(token)
+        return obs.activity.export_projection_json() if obs is not None else ""
 
     def scheduler(self, token: str) -> str:
         """The scheduler state — per-tenant/per-level queue depths, WFQ

@@ -10,11 +10,14 @@ it (only for CF-enabled queries while the VM cluster is overloaded).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.obs import Instrumentation
+from repro.obs.metrics import NoopMetricsRegistry
 from repro.sim import Simulator, Trace
 from repro.turbo.config import CfConfig, VmConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs import Instrumentation
 
 
 @dataclass(frozen=True)
@@ -38,14 +41,13 @@ class CfService:
         config: CfConfig,
         vm_config: VmConfig,
         trace: Trace | None = None,
-        obs: Instrumentation | None = None,
+        obs: "Instrumentation | None" = None,
     ) -> None:
         self._sim = sim
         self._config = config
         self._vm_config = vm_config
         self.trace = trace if trace is not None else Trace()
-        self.obs = obs if obs is not None else Instrumentation.disabled()
-        registry = self.obs.metrics
+        registry = obs.metrics if obs is not None else NoopMetricsRegistry()
         self._m_invocations = registry.counter(
             "pixels_cf_invocations_total", "CF fan-outs launched"
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import NoSuchQueryError, PixelsError
 from repro.engine.executor import (
@@ -33,17 +33,22 @@ from repro.engine.executor import (
 from repro.engine.optimizer import Optimizer
 from repro.engine.planner import Planner
 from repro.engine.source import ObjectStoreSource
-from repro.obs import Instrumentation, render_analyzed_plan
+from repro.obs.explain import render_analyzed_plan
+from repro.obs.metrics import NoopMetricsRegistry
+from repro.obs.tracer import NOOP_TRACER
 from repro.sim import Simulator, Trace
 from repro.storage.cache import BufferPool
 from repro.storage.catalog import Catalog
 from repro.storage.object_store import ObjectStore
 from repro.turbo.cf_service import CfService
 from repro.turbo.config import TurboConfig
-from repro.turbo.cost import CostModel
+from repro.turbo.cost import NANOS_PER_DOLLAR, CostModel
 from repro.turbo.faults import FaultConfig, FaultInjector
 from repro.turbo.plan_split import split_plan
 from repro.turbo.vm_cluster import VmCluster, VmTask, VmWorker
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs import Instrumentation
 
 
 class ExecutionVenue(enum.Enum):
@@ -158,7 +163,7 @@ class Coordinator:
         default_schema: str,
         trace: Trace | None = None,
         faults: FaultConfig | None = None,
-        obs: Instrumentation | None = None,
+        obs: "Instrumentation | None" = None,
     ) -> None:
         self._sim = sim
         self._config = config
@@ -166,15 +171,16 @@ class Coordinator:
         self._store = store
         self._default_schema = default_schema
         self.trace = trace if trace is not None else Trace()
-        self.obs = obs if obs is not None else Instrumentation.disabled()
+        self.obs = obs
+        #: Where spans go: handles are held across closures, so an
+        #: unobserved coordinator starts them on the null tracer.
+        self.tracer = obs.tracer if obs is not None else NOOP_TRACER
         # The VM tier's buffer pool: VMs are long-running, so one pool
         # stays warm across every VM-executed query.  CF invocations get a
         # fresh pool each (see _run_on_cf) — functions cold-start.
         self.vm_buffer_pool = BufferPool.from_config(store, config.cache)
-        self.vm_cluster = VmCluster(sim, config.vm, self.trace, obs=self.obs)
-        self.cf_service = CfService(
-            sim, config.cf, config.vm, self.trace, obs=self.obs
-        )
+        self.vm_cluster = VmCluster(sim, config.vm, self.trace, obs=obs)
+        self.cf_service = CfService(sim, config.cf, config.vm, self.trace, obs=obs)
         self.cost_model = CostModel(config)
         self._optimizer = Optimizer()
         self._executions: dict[str, QueryExecution] = {}
@@ -187,7 +193,7 @@ class Coordinator:
             if faults is not None
             else None
         )
-        registry = self.obs.metrics
+        registry = obs.metrics if obs is not None else NoopMetricsRegistry()
         self._m_queries = registry.counter(
             "pixels_queries_total", "Finished queries by venue and status"
         )
@@ -211,9 +217,7 @@ class Coordinator:
         meter event in the ledger (the operator's worker-second bill for
         this query at this venue)."""
         self._m_provider.inc(cost, venue=venue)
-        if self.obs.ledger.enabled:
-            from repro.obs.profiler import NANOS_PER_DOLLAR
-
+        if self.obs is not None:
             self.obs.ledger.charge(
                 query_id,
                 axis="compute",
@@ -333,7 +337,7 @@ class Coordinator:
             on_complete=on_complete,
         )
         self._executions[query_id] = execution
-        plan_span = self.obs.tracer.start(query_id, "plan")
+        plan_span = self.tracer.start(query_id, "plan")
         try:
             plan, explain_mode = self._prepare(sql)
         except PixelsError as error:
@@ -341,7 +345,7 @@ class Coordinator:
             self._fail(execution, str(error))
             return execution
         plan_span.finish("ok")
-        if self.obs.statements.enabled or self.obs.journal.enabled:
+        if self.obs is not None:
             from repro.obs.fingerprint import plan_shape_hash
 
             execution.plan_shape = plan_shape_hash(plan)
@@ -526,7 +530,7 @@ class Coordinator:
     def _run_on_vm(
         self, execution: QueryExecution, plan, analyze: bool = False
     ) -> None:
-        queue_span = self.obs.tracer.start(execution.query_id, "vm_queue")
+        queue_span = self.tracer.start(execution.query_id, "vm_queue")
         task = VmTask(
             task_id=execution.query_id,
             on_start=lambda worker: self._vm_started(
@@ -548,14 +552,13 @@ class Coordinator:
         if execution.started_at is None:
             execution.started_at = self._sim.now
         execution.venue = ExecutionVenue.VM
-        tracer = self.obs.tracer
-        execute_span = tracer.start(
+        execute_span = self.tracer.start(
             execution.query_id, "execute", venue="vm", worker=worker.worker_id
         )
-        # Profiles are captured whenever tracing is on (the profiler fuses
-        # them with the span tree); building one changes neither the result
-        # nor the stats billing derives from, preserving observe-invariance.
-        capture_profile = analyze or tracer.enabled
+        # Profiles are captured whenever observability is on (the profiler
+        # fuses them with the span tree); building one changes neither the
+        # result nor the stats billing derives from (observe-invariance).
+        capture_profile = analyze or self.obs is not None
         try:
             executor = QueryExecutor(
                 ObjectStoreSource(self._store, cache=self.vm_buffer_pool),
@@ -597,13 +600,14 @@ class Coordinator:
         # Register the execution window with the live activity registry:
         # progress and bill projections are derived from this window (a
         # no-op for queries never submitted through a query server).
-        self.obs.activity.begin_execution(
-            execution.query_id,
-            venue="vm",
-            duration_s=estimate.duration_s,
-            profile=result.profile,
-            stats=result.stats,
-        )
+        if self.obs is not None:
+            self.obs.activity.begin_execution(
+                execution.query_id,
+                venue="vm",
+                duration_s=estimate.duration_s,
+                profile=result.profile,
+                stats=result.stats,
+            )
         if self.fault_injector is not None and self.fault_injector.vm_task_fails():
             # The worker crashes partway through; the partial work is still
             # paid for, the worker is retired, and the query retries on the
@@ -645,9 +649,9 @@ class Coordinator:
         self, query_id: str, parent, stats: QueryStats
     ) -> None:
         """An instant child span carrying the scan-side accounting."""
-        if not self.obs.tracer.enabled:
+        if self.obs is None:
             return
-        self.obs.tracer.start(
+        self.tracer.start(
             query_id,
             "scan",
             parent=parent,
@@ -676,7 +680,7 @@ class Coordinator:
     def _run_on_cf(self, execution: QueryExecution, plan) -> None:
         execution.started_at = self._sim.now
         execution.venue = ExecutionVenue.CF
-        execute_span = self.obs.tracer.start(
+        execute_span = self.tracer.start(
             execution.query_id, "execute", venue="cf"
         )
         split = split_plan(plan)
@@ -697,7 +701,7 @@ class Coordinator:
             # stops the sub-plan's remaining scan work.
             sub_exec = executor.execute_stream(split.sub)
             split.attach_stream(sub_exec.batches())
-            capture_profile = self.obs.tracer.enabled
+            capture_profile = self.obs is not None
             top_result = executor.execute(split.top, analyze=capture_profile)
         except PixelsError as error:
             execute_span.finish("error", error=str(error))
@@ -745,8 +749,8 @@ class Coordinator:
         estimate = self.cost_model.cf_execution(sub_stats)
         execution.cf_workers = estimate.num_workers
         self._record_scan_span(execution.query_id, execute_span, sub_stats)
-        if self.obs.tracer.enabled:
-            self.obs.tracer.start(
+        if self.obs is not None:
+            self.tracer.start(
                 execution.query_id,
                 "merge",
                 parent=execute_span,
@@ -764,8 +768,7 @@ class Coordinator:
         execute_span=None,
         merge_at: float | None = None,
     ) -> None:
-        tracer = self.obs.tracer
-        invoke_span = tracer.start(
+        invoke_span = self.tracer.start(
             execution.query_id,
             "cf_invoke",
             parent=execute_span,
@@ -784,13 +787,14 @@ class Coordinator:
             self._meter_provider(execution.query_id, partial_cost, venue="cf")
             # The partial attempt's window (it dies before the merge; the
             # retry re-registers a fresh full window).
-            self.obs.activity.begin_execution(
-                execution.query_id,
-                venue="cf",
-                duration_s=partial,
-                profile=execution.profile,
-                stats=result.stats,
-            )
+            if self.obs is not None:
+                self.obs.activity.begin_execution(
+                    execution.query_id,
+                    venue="cf",
+                    duration_s=partial,
+                    profile=execution.profile,
+                    stats=result.stats,
+                )
 
             def retry() -> None:
                 if execution.retries >= self.fault_injector.config.max_retries:
@@ -819,14 +823,15 @@ class Coordinator:
         self._meter_provider(
             execution.query_id, estimate.provider_cost, venue="cf"
         )
-        self.obs.activity.begin_execution(
-            execution.query_id,
-            venue="cf",
-            duration_s=estimate.duration_s,
-            profile=execution.profile,
-            stats=result.stats,
-            merge_at=merge_at,
-        )
+        if self.obs is not None:
+            self.obs.activity.begin_execution(
+                execution.query_id,
+                venue="cf",
+                duration_s=estimate.duration_s,
+                profile=execution.profile,
+                stats=result.stats,
+                merge_at=merge_at,
+            )
 
         def completed() -> None:
             invoke_span.finish("ok")
@@ -882,12 +887,12 @@ class Coordinator:
             )
             self._executions[query_id] = execution
             executions.append(execution)
-            plan_span = self.obs.tracer.start(query_id, "plan", batch=True)
+            plan_span = self.tracer.start(query_id, "plan", batch=True)
             try:
                 plans.append(self._plan(sql))
                 members.append(execution)
                 plan_span.finish("ok")
-                if self.obs.statements.enabled or self.obs.journal.enabled:
+                if self.obs is not None:
                     from repro.obs.fingerprint import plan_shape_hash
 
                     execution.plan_shape = plan_shape_hash(plans[-1])
@@ -917,14 +922,15 @@ class Coordinator:
                 self._meter_provider(
                     execution.query_id, per_member_cost, venue="vm"
                 )
-                self.obs.activity.begin_execution(
-                    execution.query_id,
-                    venue="vm",
-                    duration_s=estimate.duration_s,
-                    stats=result.stats,
-                )
+                if self.obs is not None:
+                    self.obs.activity.begin_execution(
+                        execution.query_id,
+                        venue="vm",
+                        duration_s=estimate.duration_s,
+                        stats=result.stats,
+                    )
                 member_spans.append(
-                    self.obs.tracer.start(
+                    self.tracer.start(
                         execution.query_id,
                         "execute",
                         venue="vm",
@@ -1005,7 +1011,7 @@ class Coordinator:
         # Safety net: no failure path may leak an open span — close
         # whatever remains (execute attempts, queue spans, the root) with
         # the failure status.
-        self.obs.tracer.end_open(execution.query_id, status, error=message)
+        self.tracer.end_open(execution.query_id, status, error=message)
         if execution.on_complete is not None:
             execution.on_complete(execution)
 

@@ -25,6 +25,12 @@ from repro.turbo.config import TurboConfig
 
 TB = 1024**4
 
+NANOS_PER_DOLLAR = 1_000_000_000
+
+#: The resource axes one user charge decomposes into, in the order
+#: :func:`split_attribution_nanodollars` emits its pools.
+AXES = ("bandwidth", "compute", "requests", "fixed")
+
 
 @dataclass(frozen=True)
 class VmEstimate:
@@ -82,7 +88,7 @@ class MeterReading:
 
     ``axes`` maps resource axis (bandwidth/compute/requests/fixed) to
     nanodollars and always sums to ``billed_nanodollars`` — the split
-    comes from the profiler's shared largest-remainder helper, so the
+    comes from the shared largest-remainder helper below, so the
     ledger, the statement store, and the flame graphs agree to the
     nanodollar by construction.
     """
@@ -90,6 +96,58 @@ class MeterReading:
     billed_nanodollars: int
     attribution: CostAttribution
     axes: dict[str, int]
+
+
+def _distribute(pool: int, weights: list[float]) -> list[int]:
+    """Split ``pool`` (an int) proportionally to ``weights``, exactly.
+
+    Largest-remainder rounding: floor every share, then hand the leftover
+    units to the largest fractional remainders (ties broken by index, so
+    the split is deterministic).  Returns all zeros when the pool or the
+    weights are empty — the caller must then park the pool elsewhere.
+    """
+    total = sum(weights)
+    if pool <= 0 or total <= 0:
+        return [0] * len(weights)
+    exact = [pool * w / total for w in weights]
+    shares = [int(x) for x in exact]
+    leftover = pool - sum(shares)
+    order = sorted(
+        range(len(weights)), key=lambda i: (shares[i] - exact[i], i)
+    )
+    for i in order[:leftover]:
+        shares[i] += 1
+    return shares
+
+
+def split_attribution_nanodollars(
+    billed: float, attribution: CostAttribution | None
+) -> tuple[int, list[int]]:
+    """Billed $ → integer nanodollars split by resource, exactly.
+
+    The one splitter behind the profiler pools, the statement store, the
+    metering ledger, and :meth:`CostModel.meter` — a single
+    implementation is what lets the billing reconciler demand *integer
+    equality* between those surfaces rather than a tolerance.
+    Largest-remainder over the cost model's (bandwidth, compute, request,
+    fixed) components; when the components carry no weight the whole bill
+    parks in the fixed pool, so the four shares always sum to the billed
+    total.  Returns ``(billed_nanodollars, [bandwidth, compute, requests,
+    fixed])``.
+    """
+    billed_nano = round(billed * NANOS_PER_DOLLAR)
+    if attribution is None:
+        return billed_nano, [0, 0, 0, billed_nano]
+    components = [  # clamp float residue: a -1e-18 weight must not flip signs
+        max(0.0, attribution.bandwidth_dollars),
+        max(0.0, attribution.compute_dollars),
+        max(0.0, attribution.request_dollars),
+        max(0.0, attribution.fixed_dollars),
+    ]
+    pools = _distribute(billed_nano, components)
+    if sum(pools) != billed_nano:  # all-zero attribution: park in fixed
+        pools = [0, 0, 0, billed_nano]
+    return billed_nano, pools
 
 
 class CostModel:
@@ -216,9 +274,6 @@ class CostModel:
     ) -> MeterReading:
         """The billing point the metering ledger consumes: attribution
         plus the exact integer axis split of ``billed``."""
-        from repro.obs.ledger import AXES
-        from repro.obs.profiler import split_attribution_nanodollars
-
         attribution = self.attribution(stats, venue, billed, get_price_per_1000)
         billed_nano, pools = split_attribution_nanodollars(billed, attribution)
         return MeterReading(

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ScalingError
-from repro.obs import Instrumentation
+from repro.obs.metrics import NoopMetricsRegistry
 from repro.sim import Simulator, Trace
 from repro.turbo.config import VmConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs import Instrumentation
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,12 @@ class VmCluster:
         sim: Simulator,
         config: VmConfig,
         trace: Trace | None = None,
-        obs: Instrumentation | None = None,
+        obs: "Instrumentation | None" = None,
     ) -> None:
         self._sim = sim
         self._config = config
         self.trace = trace if trace is not None else Trace()
-        self.obs = obs if obs is not None else Instrumentation.disabled()
-        registry = self.obs.metrics
+        registry = obs.metrics if obs is not None else NoopMetricsRegistry()
         self._m_workers = registry.gauge(
             "pixels_vm_workers", "Active VM workers"
         )

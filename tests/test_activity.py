@@ -396,10 +396,10 @@ class TestExportsAndSurfaces:
         db.load_tpch("tpch", scale=0.05)
         db.submit("tpch", HEAVY, ServiceLevel.RELAXED, tenant="acme")
         db.run_to_completion()
-        activity = db.activity()
+        activity = db.obs.activity.snapshot()
         assert activity["states"] == {"billed": 1}
-        assert json.loads(db.activity_json()) == activity
-        report = db.projection_report()
+        assert json.loads(db.obs.activity.export_json()) == activity
+        report = db.obs.activity.projection_report()
         assert report["queries"] == 1
         audit = db.guard_audit()
         assert audit and audit[0]["schema"] == "tpch"

@@ -31,7 +31,7 @@ class TestDeterminism:
         assert first.dashboard_html() == second.dashboard_html()
         assert first.dashboard_text() == second.dashboard_text()
         assert first.timeseries_jsonl() == second.timeseries_jsonl()
-        assert first.slo_json() == second.slo_json()
+        assert first.obs.slo.export_json() == second.obs.slo.export_json()
 
     def test_render_is_a_pure_function_of_data(self):
         db = _demo_session()

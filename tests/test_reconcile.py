@@ -108,7 +108,7 @@ class TestEqualityChain:
         assert store_total == observed_db.obs.ledger.total_nanodollars("user")
 
     def test_standalone_replay_of_export_is_clean(self, observed_db):
-        events = load_events_jsonl(observed_db.ledger_jsonl())
+        events = load_events_jsonl(observed_db.obs.ledger.export_jsonl())
         report = reconcile_events(events)
         assert report.ok, report.render()
         assert report.total_nanodollars == (
@@ -226,7 +226,7 @@ class TestReconcileCli:
         self, observed_db, tmp_path, capsys
     ):
         clean = tmp_path / "clean.jsonl"
-        clean.write_text(observed_db.ledger_jsonl(), encoding="utf-8")
+        clean.write_text(observed_db.obs.ledger.export_jsonl(), encoding="utf-8")
         assert reconcile_main([str(clean)]) == 0
 
         events = list(observed_db.obs.ledger.events())

@@ -409,8 +409,8 @@ class TestServerIntegration:
         assert queue_records and "share" in queue_records[0]
         assert "finish_tag" in queue_records[0]
 
-    def test_tenant_queue_depth_gauge(self, turbo_env):
-        sim, _, _, _, _, server = turbo_env
+    def test_tenant_queue_depth_gauge(self):
+        sim, server = _observed_env()
         for _ in range(13):
             server.submit(HEAVY, ServiceLevel.RELAXED, tenant="acme")
         held_before = server.queued_relaxed
@@ -418,9 +418,8 @@ class TestServerIntegration:
         registry = server.obs.metrics
         registry.collect()
         gauge = registry.get("pixels_scheduler_queue_depth")
-        if gauge is not None and hasattr(gauge, "value"):
-            assert gauge.value(tenant="acme", level="relaxed") == held_before
-            sim.run_until(3600)
-            registry.collect()
-            # Drained tenants read back as zero, not a stale depth.
-            assert gauge.value(tenant="acme", level="relaxed") == 0
+        assert gauge.value(tenant="acme", level="relaxed") == held_before
+        sim.run_until(3600)
+        registry.collect()
+        # Drained tenants read back as zero, not a stale depth.
+        assert gauge.value(tenant="acme", level="relaxed") == 0

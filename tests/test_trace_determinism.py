@@ -58,14 +58,14 @@ def span_names(timeline):
 
 class TestDeterminism:
     def test_same_seed_gives_byte_identical_traces(self):
-        first = run_session().export_traces()
-        second = run_session().export_traces()
+        first = run_session().obs.tracer.export_all_json()
+        second = run_session().obs.tracer.export_all_json()
         assert first == second
         assert json.loads(first)  # non-empty, valid JSON
 
     def test_query_lifecycle_spans_present(self):
         db = run_session()
-        timeline = json.loads(db.trace("sq-1"))
+        timeline = json.loads(db.obs.tracer.export_json("sq-1"))
         names = span_names(timeline)
         for expected in ("query", "submit", "dispatch", "plan", "execute", "scan", "bill"):
             assert expected in names, f"missing span {expected!r}"
@@ -144,9 +144,34 @@ class TestClosureOnTerminationPaths:
 class TestDisabledDefault:
     def test_observe_off_records_nothing(self):
         db = run_session(observe=False)
-        assert db.metrics() == ""
-        assert json.loads(db.export_traces()) == []
-        assert not db.obs.enabled
+        assert db.obs is None
+
+    def test_unobserved_session_builds_no_sink(self, monkeypatch):
+        from repro.obs import (
+            ActivityRegistry,
+            MeterLedger,
+            QueryJournal,
+            SloTracker,
+            SpendAccountant,
+            StatementStore,
+        )
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{type(self).__name__} built while unobserved")
+
+        for sink in (
+            MeterLedger,
+            QueryJournal,
+            StatementStore,
+            SloTracker,
+            SpendAccountant,
+            ActivityRegistry,
+        ):
+            monkeypatch.setattr(sink, "__init__", refuse)
+        db = run_session(observe=False)
+        queries = db.query_server("tpch").queries
+        assert [q.status for q in queries] == [QueryStatus.FINISHED] * 3
+        assert db.dashboard_text()
 
     def test_results_identical_with_and_without_observability(self):
         queries_on = run_session(observe=True).query_server("tpch").queries
@@ -155,12 +180,15 @@ class TestDisabledDefault:
             q.result_rows() for q in queries_off
         ]
         assert [q.price for q in queries_on] == [q.price for q in queries_off]
+        assert [q.price_nanodollars for q in queries_on] == [
+            q.price_nanodollars for q in queries_off
+        ]
 
 
 class TestMetricsEndToEnd:
     def test_exposition_covers_the_paper_series(self):
         db = run_session()
-        text = db.metrics()
+        text = db.obs.metrics.render()
         for series in (
             "pixels_queries_submitted_total",
             "pixels_queries_total",
