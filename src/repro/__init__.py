@@ -268,7 +268,8 @@ class PixelsDB:
 
     def explain_analyze(self, schema: str, sql: str) -> str:
         """Execute ``sql`` inline and render the plan annotated with
-        actual per-operator rows, bytes, and wall time."""
+        actual per-operator rows, bytes, and deterministic virtual time
+        (modelled from the work done, not the wall clock)."""
         return self.coordinator(schema).explain_analyze(sql)
 
     def profile(self, schema: str, query_id: str):

@@ -15,15 +15,12 @@ Dollars are handled as **integer nanodollars** with largest-remainder
 rounding, so the per-node attributed amounts sum *exactly* — not merely
 approximately — to the billed price.  Everything here is derived from
 virtual-clock spans and modelled operator times, so the folded-stack and
-flame-graph exports are byte-reproducible across same-seed runs; the one
-exception is the opt-in ``wall`` view over
-:attr:`~repro.engine.executor.OperatorProfile.wall_time_s`, which is
-real ``perf_counter`` time and is excluded from determinism tests.
+flame-graph exports are byte-reproducible across same-seed runs.
 
 Export formats:
 
 * :func:`render_folded` — flamegraph.pl-compatible folded stacks
-  (``frame;frame;frame value``), value in µs for time views and
+  (``frame;frame;frame value``), value in µs for the time view and
   nanodollars for the dollar view.
 * :mod:`repro.obs.flamegraph` — self-contained SVG flame graphs (no
   scripts, deterministic colors), one for time and one for dollars.
@@ -58,7 +55,6 @@ class ProfileNode:
     name: str
     kind: str  # "span" | "operator"
     self_time_s: float = 0.0
-    self_wall_s: float = 0.0
     bytes_scanned: int = 0  # self bytes
     get_requests: int = 0  # self GETs
     footer_gets: int = 0  # request-class split of self GETs
@@ -77,10 +73,6 @@ class ProfileNode:
         return self.self_time_s + sum(c.cum_time_s for c in self.children)
 
     @property
-    def cum_wall_s(self) -> float:
-        return self.self_wall_s + sum(c.cum_wall_s for c in self.children)
-
-    @property
     def cum_bytes(self) -> int:
         return self.bytes_scanned + sum(c.cum_bytes for c in self.children)
 
@@ -93,14 +85,6 @@ class ProfileNode:
         return self.self_nanodollars + sum(
             c.cum_nanodollars for c in self.children
         )
-
-    @property
-    def self_dollars(self) -> float:
-        return self.self_nanodollars / NANOS_PER_DOLLAR
-
-    @property
-    def cum_dollars(self) -> float:
-        return self.cum_nanodollars / NANOS_PER_DOLLAR
 
     def walk(self) -> Iterator["ProfileNode"]:
         """Preorder traversal of the subtree (self first)."""
@@ -150,15 +134,11 @@ def _operator_to_node(profile: OperatorProfile) -> ProfileNode:
     self_chunk_gets = profile.chunk_gets - sum(
         c.chunk_gets for c in profile.children
     )
-    self_wall = profile.wall_time_s - sum(
-        c.wall_time_s for c in profile.children
-    )
     self_morsels = profile.morsels - sum(c.morsels for c in profile.children)
     return ProfileNode(
         name=profile.name,
         kind="operator",
         self_time_s=profile.self_time_s,
-        self_wall_s=max(0.0, self_wall),
         bytes_scanned=max(0, self_bytes),
         get_requests=max(0, self_gets),
         footer_gets=max(0, self_footer_gets),
@@ -249,8 +229,6 @@ class QueryProfile:
 def _node_value(node: ProfileNode, value: str) -> int:
     if value == "time":
         return round(node.self_time_s * 1_000_000)  # µs
-    if value == "wall":
-        return round(node.self_wall_s * 1_000_000)  # µs
     if value == "dollars":
         return node.self_nanodollars
     raise ValueError(f"unknown profile value {value!r}")
@@ -260,9 +238,8 @@ def render_folded(root: ProfileNode, value: str = "time") -> str:
     """flamegraph.pl-compatible folded stacks.
 
     One line per tree node with a nonzero self value:
-    ``frame;frame;frame <int>`` — µs for ``time``/``wall``, nanodollars
-    for ``dollars``.  Deterministic for the virtual views (``time``,
-    ``dollars``); ``wall`` is real elapsed time and is not.
+    ``frame;frame;frame <int>`` — µs for ``time``, nanodollars for
+    ``dollars``.  Both views are deterministic.
     """
     lines: list[str] = []
 

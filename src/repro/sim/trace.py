@@ -7,6 +7,7 @@ time, concurrency vs time, workers provisioned after a demand step) from
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -20,8 +21,17 @@ class TracePoint:
     tag: str = ""
 
 
+def _time(point: TracePoint) -> float:
+    return point.time
+
+
 class Trace:
-    """Append-only collection of named metric time series."""
+    """Append-only collection of named metric time series.
+
+    Samples are recorded in non-decreasing time order (the simulator's
+    clock never runs backwards; :meth:`merge` re-sorts), which is what
+    lets the point lookups below bisect instead of scanning history.
+    """
 
     def __init__(self) -> None:
         self._series: dict[str, list[TracePoint]] = {}
@@ -53,12 +63,9 @@ class Trace:
 
     def value_at(self, metric: str, time: float, default: float = 0.0) -> float:
         """Step-function lookup: the last recorded value at or before ``time``."""
-        result = default
-        for point in self._series.get(metric, []):
-            if point.time > time:
-                break
-            result = point.value
-        return result
+        points = self._series.get(metric, [])
+        index = bisect_right(points, time, key=_time)
+        return points[index - 1].value if index else default
 
     def time_weighted_mean(
         self, metric: str, start: float, end: float, initial: float = 0.0
@@ -71,13 +78,14 @@ class Trace:
         """
         if end <= start:
             return self.value_at(metric, start, initial)
+        points = self._series.get(metric, [])
+        # Bisect to the window: only the samples after ``start`` are summed,
+        # in time order, so the cost tracks the window, not the history.
+        first = bisect_right(points, start, key=_time)
         total = 0.0
-        current_value = initial
+        current_value = points[first - 1].value if first else initial
         current_time = start
-        for point in self._series.get(metric, []):
-            if point.time <= start:
-                current_value = point.value
-                continue
+        for point in points[first:]:
             if point.time >= end:
                 break
             total += current_value * (point.time - current_time)

@@ -19,6 +19,7 @@ Execution paths:
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -212,20 +213,6 @@ class Coordinator:
         )
         registry.add_collector(self._collect_storage_metrics)
 
-    def _meter_provider(self, query_id: str, cost: float, venue: str) -> None:
-        """Accrue provider-side spend: the metric plus a provider-account
-        meter event in the ledger (the operator's worker-second bill for
-        this query at this venue)."""
-        self._m_provider.inc(cost, venue=venue)
-        if self.obs is not None:
-            self.obs.ledger.charge(
-                query_id,
-                axis="compute",
-                nanodollars=round(cost * NANOS_PER_DOLLAR),
-                account="provider",
-                venue=venue,
-            )
-
     def _collect_storage_metrics(self) -> None:
         """Mirror storage/cache counters into the registry at scrape time."""
         registry = self.obs.metrics
@@ -323,32 +310,11 @@ class Coordinator:
         carries the submitter's scheduling story (queue wait, admission
         verdict) into EXPLAIN ANALYZE's ``pending:`` header.
         """
-        if query_id is None:
-            self._query_counter += 1
-            query_id = f"q-{self._query_counter}"
-        if query_id in self._executions:
-            raise PixelsError(f"duplicate query id {query_id!r}")
-        execution = QueryExecution(
-            query_id=query_id,
-            sql=sql,
-            submitted_at=self._sim.now,
-            cf_enabled=cf_enabled,
-            submit_context=submit_context,
-            on_complete=on_complete,
+        execution, plan, explain_mode = self._new_execution(
+            sql, query_id, cf_enabled, on_complete, submit_context
         )
-        self._executions[query_id] = execution
-        plan_span = self.tracer.start(query_id, "plan")
-        try:
-            plan, explain_mode = self._prepare(sql)
-        except PixelsError as error:
-            plan_span.finish("error", error=str(error))
-            self._fail(execution, str(error))
+        if plan is None:
             return execution
-        plan_span.finish("ok")
-        if self.obs is not None:
-            from repro.obs.fingerprint import plan_shape_hash
-
-            execution.plan_shape = plan_shape_hash(plan)
         if explain_mode == "plan":
             # Pure EXPLAIN renders without occupying any venue and bills
             # nothing (no bytes are scanned).
@@ -367,6 +333,53 @@ class Coordinator:
         else:
             self._run_on_vm(execution, plan)
         return execution
+
+    def _new_execution(
+        self,
+        sql: str,
+        query_id: str | None,
+        cf_enabled: bool,
+        on_complete: Callable[[QueryExecution], None] | None,
+        submit_context: dict | None = None,
+        explain: bool = True,
+        **span_attributes: object,
+    ) -> tuple[QueryExecution, object, str | None]:
+        """Mint (or take) the query id, register its execution and plan
+        it under a ``plan`` span.  Returns ``(execution, plan,
+        explain_mode)``; the plan is None when planning failed, in which
+        case the execution has already failed.  ``explain=False`` rejects
+        EXPLAIN statements (paths that cannot render one)."""
+        if query_id is None:
+            self._query_counter += 1
+            query_id = f"q-{self._query_counter}"
+        if query_id in self._executions:
+            raise PixelsError(f"duplicate query id {query_id!r}")
+        execution = QueryExecution(
+            query_id=query_id,
+            sql=sql,
+            submitted_at=self._sim.now,
+            cf_enabled=cf_enabled,
+            submit_context=submit_context,
+            on_complete=on_complete,
+        )
+        self._executions[query_id] = execution
+        plan_span = self.tracer.start(query_id, "plan", **span_attributes)
+        try:
+            plan, explain_mode = self._prepare(sql)
+            if explain_mode is not None and not explain:
+                raise PixelsError("EXPLAIN is not supported on this execution path")
+        except PixelsError as error:
+            plan_span.finish("error", error=str(error))
+            self._fail(execution, str(error))
+            return execution, None, None
+        plan_span.finish("ok")
+        if self.obs is not None:
+            # Looked up at call time, so a wrapper patched onto the
+            # fingerprint module sees every call.
+            from repro.obs.fingerprint import plan_shape_hash
+
+            execution.plan_shape = plan_shape_hash(plan)
+        return execution, plan, explain_mode
 
     def _choose_cf(self, cf_enabled: bool) -> bool:
         """The adaptive-acceleration decision (§3.1): CF only when the
@@ -388,12 +401,6 @@ class Coordinator:
             statement = statement.statement
         planner = Planner(self.catalog, self._default_schema)
         return self._optimizer.optimize(planner.plan(statement)), explain_mode
-
-    def _plan(self, sql: str):
-        plan, explain_mode = self._prepare(sql)
-        if explain_mode is not None:
-            raise PixelsError("EXPLAIN is not supported on this execution path")
-        return plan
 
     def execute_ddl(self, sql: str) -> str:
         """Run a DDL statement against the coordinator's metadata.
@@ -457,13 +464,37 @@ class Coordinator:
         actual rows, batches, bytes, GETs, cache hits, and deterministic
         virtual execution time."""
         plan, _ = self._prepare(sql)
-        executor = QueryExecutor(
-            ObjectStoreSource(self._store, cache=self.vm_buffer_pool),
+        executor = self._executor(self.vm_buffer_pool)
+        return self._render_analyzed(
+            plan, executor, executor.execute(plan, analyze=True)
+        )
+
+    def _executor(self, cache: BufferPool | None) -> QueryExecutor:
+        """An executor over the object store behind ``cache`` (the VM
+        tier's warm pool, or a CF invocation's cold one)."""
+        return QueryExecutor(
+            ObjectStoreSource(self._store, cache=cache),
             batch_size=self._config.batch_size,
             workers=self._config.workers or None,
         )
-        result = executor.execute(plan, analyze=True)
-        assert result.profile is not None
+
+    def _render_analyzed(
+        self,
+        plan,
+        executor: QueryExecutor,
+        result: QueryResult,
+        execution: QueryExecution | None = None,
+    ) -> str:
+        """EXPLAIN ANALYZE text of one analyzed run.  A server-submitted
+        ANALYZE (its execution carries a submit context) also prints the
+        scheduling story — server queue wait, admission verdict, VM queue
+        — so a slow query is attributable without opening the trace."""
+        pending = None
+        if execution is not None and execution.submit_context is not None:
+            pending = dict(execution.submit_context)
+            pending["vm_queue_s"] = round(
+                self._sim.now - execution.submitted_at, 9
+            )
         return render_analyzed_plan(
             plan,
             result.profile,
@@ -472,6 +503,7 @@ class Coordinator:
                 "workers": executor.workers,
                 "batch_size": executor.batch_size,
             },
+            pending=pending,
         )
 
     def _estimate_stats(self, plan) -> QueryStats:
@@ -525,6 +557,46 @@ class Coordinator:
         )
         return "\n".join(lines)
 
+    # -- execution attempts ----------------------------------------------------------
+
+    def _start_attempt(
+        self,
+        execution: QueryExecution,
+        venue: str,
+        cost: float,
+        duration_s: float,
+        stats: QueryStats,
+        profile: OperatorProfile | None = None,
+        merge_at: float | None = None,
+    ) -> None:
+        """Start one execution attempt at ``venue``.
+
+        The one place an attempt accrues provider spend — the execution's
+        total, the venue metric and a provider-account meter event in the
+        ledger (the operator's worker-second bill) — and registers its
+        virtual window ``[now, now + duration_s]`` with the live activity
+        registry, from which progress and bill projections derive (a no-op
+        for queries never submitted through a query server).
+        """
+        execution.provider_cost += cost
+        self._m_provider.inc(cost, venue=venue)
+        if self.obs is not None:
+            self.obs.ledger.charge(
+                execution.query_id,
+                axis="compute",
+                nanodollars=round(cost * NANOS_PER_DOLLAR),
+                account="provider",
+                venue=venue,
+            )
+            self.obs.activity.begin_execution(
+                execution.query_id,
+                venue=venue,
+                duration_s=duration_s,
+                profile=profile,
+                stats=stats,
+                merge_at=merge_at,
+            )
+
     # -- VM path ---------------------------------------------------------------------
 
     def _run_on_vm(
@@ -534,7 +606,7 @@ class Coordinator:
         task = VmTask(
             task_id=execution.query_id,
             on_start=lambda worker: self._vm_started(
-                execution, plan, worker, analyze, queue_span
+                execution, plan, worker, queue_span, analyze
             ),
         )
         self.vm_cluster.submit(task)
@@ -544,93 +616,69 @@ class Coordinator:
         execution: QueryExecution,
         plan,
         worker: VmWorker,
-        analyze: bool = False,
-        queue_span=None,
+        queue_span,
+        analyze: bool,
     ) -> None:
-        if queue_span is not None:
-            queue_span.finish("ok")
+        queue_span.finish("ok")
         if execution.started_at is None:
             execution.started_at = self._sim.now
         execution.venue = ExecutionVenue.VM
         execute_span = self.tracer.start(
             execution.query_id, "execute", venue="vm", worker=worker.worker_id
         )
-        # Profiles are captured whenever observability is on (the profiler
-        # fuses them with the span tree); building one changes neither the
-        # result nor the stats billing derives from (observe-invariance).
-        capture_profile = analyze or self.obs is not None
         try:
-            executor = QueryExecutor(
-                ObjectStoreSource(self._store, cache=self.vm_buffer_pool),
-                batch_size=self._config.batch_size,
-                workers=self._config.workers or None,
-            )
-            result = executor.execute(plan, analyze=capture_profile)
+            executor = self._executor(self.vm_buffer_pool)
+            # Profiles are captured whenever observability is on (the
+            # profiler fuses them with the span tree); building one changes
+            # neither the result nor the stats billing derives from
+            # (observe-invariance).
+            result = executor.execute(plan, analyze=analyze or self.obs is not None)
         except PixelsError as error:
             execute_span.finish("error", error=str(error))
             self.vm_cluster.release(worker)
             self._fail(execution, str(error))
             return
         execution.profile = result.profile
-        if analyze and result.profile is not None:
-            pending = None
-            if execution.submit_context is not None:
-                # Server-submitted ANALYZE: print the scheduling story
-                # (server queue wait, admission verdict, VM queue) so a
-                # slow query is attributable without opening the trace.
-                pending = dict(execution.submit_context)
-                pending["vm_queue_s"] = round(
-                    self._sim.now - execution.submitted_at, 9
-                )
-            execution.explain_text = render_analyzed_plan(
-                plan,
-                result.profile,
-                result.stats,
-                context={
-                    "workers": executor.workers,
-                    "batch_size": executor.batch_size,
-                },
-                pending=pending,
+        if analyze:
+            execution.explain_text = self._render_analyzed(
+                plan, executor, result, execution
             )
             result = QueryResult(
                 _text_table(execution.explain_text), result.stats, result.profile
             )
         self._record_scan_span(execution.query_id, execute_span, result.stats)
         estimate = self.cost_model.vm_execution(result.stats)
-        # Register the execution window with the live activity registry:
-        # progress and bill projections are derived from this window (a
-        # no-op for queries never submitted through a query server).
-        if self.obs is not None:
-            self.obs.activity.begin_execution(
-                execution.query_id,
-                venue="vm",
-                duration_s=estimate.duration_s,
-                profile=result.profile,
-                stats=result.stats,
-            )
-        if self.fault_injector is not None and self.fault_injector.vm_task_fails():
-            # The worker crashes partway through; the partial work is still
-            # paid for, the worker is retired, and the query retries on the
-            # remaining capacity.
-            fraction = self.fault_injector.failure_point()
-            partial_cost = estimate.provider_cost * fraction
-            execution.provider_cost += partial_cost
-            self._meter_provider(execution.query_id, partial_cost, venue="vm")
-
-            def crash() -> None:
-                execute_span.finish("retry", reason="vm worker crashed")
-                self._vm_running.pop(execution.query_id, None)
-                self.vm_cluster.release(worker)
-                self.vm_cluster.fail_worker(worker)
-                self._retry(execution, plan, reason="VM worker crashed")
-
-            event = self._sim.schedule(estimate.duration_s * fraction, crash)
-            self._vm_running[execution.query_id] = (event, worker)
-            return
-        execution.provider_cost += estimate.provider_cost
-        self._meter_provider(
-            execution.query_id, estimate.provider_cost, venue="vm"
+        # A crashing worker dies partway through: the partial work is still
+        # paid for, the worker is retired, and the query retries on the
+        # remaining capacity.  Nothing foresees the crash, so the attempt's
+        # window is the full estimate either way.
+        crashes = (
+            self.fault_injector is not None and self.fault_injector.vm_task_fails()
         )
+        fraction = self.fault_injector.failure_point() if crashes else 1.0
+        self._start_attempt(
+            execution,
+            "vm",
+            estimate.provider_cost * fraction,
+            estimate.duration_s,
+            result.stats,
+            result.profile,
+        )
+
+        def crash() -> None:
+            execute_span.finish("retry", reason="vm worker crashed")
+            self._vm_running.pop(execution.query_id, None)
+            self.vm_cluster.release(worker)
+            self.vm_cluster.fail_worker(worker)
+            if execution.retries >= self.fault_injector.config.max_retries:
+                self._fail(
+                    execution,
+                    f"VM worker crashed; gave up after {execution.retries} retries",
+                )
+                return
+            execution.retries += 1
+            self._m_retries.inc(venue="vm")
+            self._run_on_vm(execution, plan)
 
         def finish() -> None:
             execute_span.finish(
@@ -642,7 +690,9 @@ class Coordinator:
             self.vm_cluster.release(worker)
             self._succeed(execution, result)
 
-        event = self._sim.schedule(estimate.duration_s, finish)
+        event = self._sim.schedule(
+            estimate.duration_s * fraction, crash if crashes else finish
+        )
         self._vm_running[execution.query_id] = (event, worker)
 
     def _record_scan_span(
@@ -663,18 +713,6 @@ class Coordinator:
             row_groups_skipped=stats.row_groups_skipped,
         ).finish("ok")
 
-    def _retry(self, execution: QueryExecution, plan, reason: str) -> None:
-        assert self.fault_injector is not None
-        if execution.retries >= self.fault_injector.config.max_retries:
-            self._fail(
-                execution,
-                f"{reason}; gave up after {execution.retries} retries",
-            )
-            return
-        execution.retries += 1
-        self._m_retries.inc(venue="vm")
-        self._run_on_vm(execution, plan)
-
     # -- CF path ---------------------------------------------------------------------
 
     def _run_on_cf(self, execution: QueryExecution, plan) -> None:
@@ -688,11 +726,8 @@ class Coordinator:
             # Each CF invocation starts with a cold, invocation-private
             # pool: it still coalesces range-GETs and reuses chunks within
             # the query, but no warmth carries across invocations.
-            cf_pool = BufferPool.from_config(self._store, self._config.cache)
-            executor = QueryExecutor(
-                ObjectStoreSource(self._store, cache=cf_pool),
-                batch_size=self._config.batch_size,
-                workers=self._config.workers or None,
+            executor = self._executor(
+                BufferPool.from_config(self._store, self._config.cache)
             )
             # Incremental merge: the sub-plan's result flows into the
             # top-level plan as a batch stream, so the merge step consumes
@@ -701,14 +736,13 @@ class Coordinator:
             # stops the sub-plan's remaining scan work.
             sub_exec = executor.execute_stream(split.sub)
             split.attach_stream(sub_exec.batches())
-            capture_profile = self.obs is not None
-            top_result = executor.execute(split.top, analyze=capture_profile)
+            top_result = executor.execute(split.top, analyze=self.obs is not None)
         except PixelsError as error:
             execute_span.finish("error", error=str(error))
             self._fail(execution, str(error))
             return
         merge_at = None
-        if capture_profile and top_result.profile is not None:
+        if top_result.profile is not None:
             sub_profile = sub_exec.profile()
             # The fraction of the execution window spent in the fanned-out
             # sub-plan; past it the query is in its VM-side merge phase
@@ -724,27 +758,14 @@ class Coordinator:
         # abandoned) the stream, so it reflects exactly the sub-plan work
         # performed — the CF billing basis.
         sub_stats = sub_exec.stats
-        # The top-level plan consumes the materialized view; the heavy
-        # statistics (bytes scanned, GETs, cache traffic) come from the CF
-        # sub-plan; the merge step contributes its own operator counts.
-        merged_stats = QueryStats(
-            bytes_scanned=sub_stats.bytes_scanned,
-            scan_latency_s=sub_stats.scan_latency_s,
-            rows_scanned=sub_stats.rows_scanned,
-            rows_produced=top_result.stats.rows_produced,
-            operators=sub_stats.operators + top_result.stats.operators,
-            get_requests=sub_stats.get_requests
-            + top_result.stats.get_requests,
-            footer_gets=sub_stats.footer_gets + top_result.stats.footer_gets,
-            chunk_gets=sub_stats.chunk_gets + top_result.stats.chunk_gets,
-            cache_hits=sub_stats.cache_hits + top_result.stats.cache_hits,
-            cache_misses=sub_stats.cache_misses
-            + top_result.stats.cache_misses,
-            cache_evictions=sub_stats.cache_evictions
-            + top_result.stats.cache_evictions,
-            row_groups_skipped=sub_stats.row_groups_skipped
-            + top_result.stats.row_groups_skipped,
-        )
+        # The heavy statistics (bytes scanned, GETs, cache traffic) come
+        # from the CF sub-plan.  The top-level plan is a chain of cheap
+        # unary operators over the materialized view (see plan_split), so
+        # its scan counters are zero: it adds its operator count and sets
+        # the result's row count.
+        merged_stats = dataclasses.replace(sub_stats)
+        merged_stats.merge(top_result.stats)
+        merged_stats.rows_produced = top_result.stats.rows_produced
         result = QueryResult(top_result.data, merged_stats)
         estimate = self.cost_model.cf_execution(sub_stats)
         execution.cf_workers = estimate.num_workers
@@ -763,10 +784,10 @@ class Coordinator:
     def _launch_cf(
         self,
         execution: QueryExecution,
-        result,
+        result: QueryResult,
         estimate,
-        execute_span=None,
-        merge_at: float | None = None,
+        execute_span,
+        merge_at: float | None,
     ) -> None:
         invoke_span = self.tracer.start(
             execution.query_id,
@@ -775,79 +796,54 @@ class Coordinator:
             workers=estimate.num_workers,
             attempt=execution.retries,
         )
-        if (
+        # A failing invocation's function time is still billed.  Its window
+        # is the partial run, which dies before the merge; the retry
+        # registers a fresh full window.
+        fails = (
             self.fault_injector is not None
             and self.fault_injector.cf_invocation_fails()
-        ):
-            # Failed function time is still billed; retry the fan-out.
-            fraction = self.fault_injector.failure_point()
-            partial = estimate.duration_s * fraction
-            partial_cost = estimate.provider_cost * fraction
-            execution.provider_cost += partial_cost
-            self._meter_provider(execution.query_id, partial_cost, venue="cf")
-            # The partial attempt's window (it dies before the merge; the
-            # retry re-registers a fresh full window).
-            if self.obs is not None:
-                self.obs.activity.begin_execution(
-                    execution.query_id,
-                    venue="cf",
-                    duration_s=partial,
-                    profile=execution.profile,
-                    stats=result.stats,
-                )
-
-            def retry() -> None:
-                if execution.retries >= self.fault_injector.config.max_retries:
-                    invoke_span.finish("error", error="cf invocation failed")
-                    if execute_span is not None:
-                        execute_span.finish("error", error="cf invocation failed")
-                    self._fail(
-                        execution,
-                        "CF invocation failed; gave up after "
-                        f"{execution.retries} retries",
-                    )
-                    return
-                invoke_span.finish("retry", reason="cf invocation failed")
-                execution.retries += 1
-                self._m_retries.inc(venue="cf")
-                self._launch_cf(
-                    execution, result, estimate, execute_span, merge_at
-                )
-
-            self.cf_service.invoke(
-                execution.query_id, estimate.num_workers, partial,
-                on_complete=retry,
-            )
-            return
-        execution.provider_cost += estimate.provider_cost
-        self._meter_provider(
-            execution.query_id, estimate.provider_cost, venue="cf"
         )
-        if self.obs is not None:
-            self.obs.activity.begin_execution(
-                execution.query_id,
-                venue="cf",
-                duration_s=estimate.duration_s,
-                profile=execution.profile,
-                stats=result.stats,
-                merge_at=merge_at,
-            )
+        fraction = self.fault_injector.failure_point() if fails else 1.0
+        duration_s = estimate.duration_s * fraction
+        self._start_attempt(
+            execution,
+            "cf",
+            estimate.provider_cost * fraction,
+            duration_s,
+            result.stats,
+            execution.profile,
+            merge_at=None if fails else merge_at,
+        )
+
+        def retry() -> None:
+            if execution.retries >= self.fault_injector.config.max_retries:
+                invoke_span.finish("error", error="cf invocation failed")
+                execute_span.finish("error", error="cf invocation failed")
+                self._fail(
+                    execution,
+                    "CF invocation failed; gave up after "
+                    f"{execution.retries} retries",
+                )
+                return
+            invoke_span.finish("retry", reason="cf invocation failed")
+            execution.retries += 1
+            self._m_retries.inc(venue="cf")
+            self._launch_cf(execution, result, estimate, execute_span, merge_at)
 
         def completed() -> None:
             invoke_span.finish("ok")
-            if execute_span is not None:
-                execute_span.finish(
-                    "ok",
-                    bytes_scanned=result.stats.bytes_scanned,
-                    provider_cost=execution.provider_cost,
-                )
+            execute_span.finish(
+                "ok",
+                bytes_scanned=result.stats.bytes_scanned,
+                provider_cost=execution.provider_cost,
+            )
             self._succeed(execution, result)
 
         self.cf_service.invoke(
             execution.query_id,
             estimate.num_workers,
-            estimate.duration_s,
-            on_complete=completed,
+            duration_s,
+            on_complete=retry if fails else completed,
         )
 
     # -- batch optimization (paper §5: "opportunities for batch query
@@ -869,36 +865,18 @@ class Coordinator:
         """
         from repro.turbo.batching import execute_shared_batch
 
-        if query_ids is None:
-            query_ids = []
-            for _ in sqls:
-                self._query_counter += 1
-                query_ids.append(f"q-{self._query_counter}")
         executions = []
         plans = []
         members: list[QueryExecution] = []
-        for sql, query_id in zip(sqls, query_ids):
-            execution = QueryExecution(
-                query_id=query_id,
-                sql=sql,
-                submitted_at=self._sim.now,
-                cf_enabled=False,
-                on_complete=on_complete,
+        ids = query_ids if query_ids is not None else [None] * len(sqls)
+        for sql, query_id in zip(sqls, ids):
+            execution, plan, _ = self._new_execution(
+                sql, query_id, False, on_complete, explain=False, batch=True
             )
-            self._executions[query_id] = execution
             executions.append(execution)
-            plan_span = self.tracer.start(query_id, "plan", batch=True)
-            try:
-                plans.append(self._plan(sql))
+            if plan is not None:
+                plans.append(plan)
                 members.append(execution)
-                plan_span.finish("ok")
-                if self.obs is not None:
-                    from repro.obs.fingerprint import plan_shape_hash
-
-                    execution.plan_shape = plan_shape_hash(plans[-1])
-            except PixelsError as error:
-                plan_span.finish("error", error=str(error))
-                self._fail(execution, str(error))
         if not members:
             return executions
         batch = execute_shared_batch(
@@ -918,17 +896,13 @@ class Coordinator:
             for execution, result in zip(members, batch.results):
                 execution.started_at = self._sim.now
                 execution.venue = ExecutionVenue.VM
-                execution.provider_cost += per_member_cost
-                self._meter_provider(
-                    execution.query_id, per_member_cost, venue="vm"
+                self._start_attempt(
+                    execution,
+                    "vm",
+                    per_member_cost,
+                    estimate.duration_s,
+                    result.stats,
                 )
-                if self.obs is not None:
-                    self.obs.activity.begin_execution(
-                        execution.query_id,
-                        venue="vm",
-                        duration_s=estimate.duration_s,
-                        stats=result.stats,
-                    )
                 member_spans.append(
                     self.tracer.start(
                         execution.query_id,
@@ -988,9 +962,6 @@ class Coordinator:
             return  # e.g. cancelled while a CF invocation was in flight
         execution.finished_at = self._sim.now
         execution.result = result
-        self.trace.record(
-            "query.finished", self._sim.now, 1, tag=execution.query_id
-        )
         venue = execution.venue.value if execution.venue is not None else "none"
         self._m_queries.inc(venue=venue, status="ok")
         self._m_bytes.inc(result.stats.bytes_scanned)
@@ -1004,7 +975,6 @@ class Coordinator:
         if execution.started_at is None:
             execution.started_at = self._sim.now
         execution.error = message
-        self.trace.record("query.failed", self._sim.now, 1, tag=execution.query_id)
         venue = execution.venue.value if execution.venue is not None else "none"
         status = "cancelled" if "cancelled" in message else "error"
         self._m_queries.inc(venue=venue, status=status)

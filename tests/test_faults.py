@@ -8,6 +8,7 @@ from repro.storage.catalog import Catalog
 from repro.storage.object_store import ObjectStore
 from repro.turbo import Coordinator, TurboConfig
 from repro.turbo.coordinator import ExecutionVenue
+from repro.turbo.cost import NANOS_PER_DOLLAR
 from repro.turbo.faults import FaultConfig, FaultInjector
 from repro.workloads import TpchGenerator, load_dataset
 
@@ -153,3 +154,96 @@ class TestCfFailures:
             sim.run_until(1800)
             outcomes.append((record.status, record.execution.retries))
         assert outcomes[0] == outcomes[1]
+
+
+class TestProviderChargesUnderFaults:
+    """Every attempt — crashed, failed or finished, on either venue — is
+    one provider charge and one activity window."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.obs import Instrumentation
+
+        sim = Simulator(seed=3)
+        store = ObjectStore()
+        catalog = Catalog()
+        load_dataset(store, catalog, "tpch", TpchGenerator(scale=0.02).tables())
+        config = TurboConfig.fast()
+        obs = Instrumentation.create(clock=lambda: sim.now)
+        coordinator = Coordinator(
+            sim,
+            config,
+            catalog,
+            store,
+            "tpch",
+            faults=FaultConfig(vm_crash_rate=0.5, cf_failure_rate=0.5, max_retries=10),
+            obs=obs,
+        )
+        server = QueryServer(sim, coordinator, config)
+        windows: dict[str, list[dict]] = {}
+        begin_execution = obs.activity.begin_execution
+
+        def record_window(query_id, **window):
+            windows.setdefault(query_id, []).append(window)
+            begin_execution(query_id, **window)
+
+        obs.activity.begin_execution = record_window
+        # Relaxed queries fill the VM slots; the immediate ones behind
+        # them are accelerated on CF.
+        records = [server.submit(SQL, ServiceLevel.RELAXED) for _ in range(6)]
+        records += [server.submit(SQL, ServiceLevel.IMMEDIATE) for _ in range(6)]
+        sim.run_until(3600)
+        return coordinator, server, obs, records, windows
+
+    def test_both_venues_retried(self, run):
+        _, _, _, records, _ = run
+        assert all(r.status is QueryStatus.FINISHED for r in records)
+        for venue in (ExecutionVenue.VM, ExecutionVenue.CF):
+            assert any(
+                r.execution.venue is venue and r.execution.retries > 0
+                for r in records
+            ), venue
+
+    def test_one_provider_charge_per_attempt(self, run):
+        _, _, obs, records, _ = run
+        for record in records:
+            execution = record.execution
+            charges = [
+                event
+                for event in obs.ledger.events_for(record.query_id)
+                if event.account == "provider" and event.kind == "charge"
+            ]
+            assert len(charges) == execution.retries + 1
+            assert {event.venue for event in charges} == {execution.venue.value}
+            total = sum(event.nanodollars for event in charges)
+            expected = round(execution.provider_cost * NANOS_PER_DOLLAR)
+            # Each charge rounds its own attempt's cost.
+            assert abs(total - expected) <= execution.retries + 1
+
+    def test_ledger_reconciles(self, run):
+        from repro.obs.reconcile import reconcile_server
+
+        _, server, _, _, _ = run
+        report = reconcile_server(server)
+        assert report.ok, report.violations
+
+    def test_attempt_windows(self, run):
+        coordinator, _, _, records, windows = run
+        for record in records:
+            attempts = windows[record.query_id]
+            assert len(attempts) == record.execution.retries + 1
+            final = attempts[-1]
+            if record.execution.venue is ExecutionVenue.VM:
+                # A crash is not foreseen: every attempt registers the
+                # full estimate of its run.
+                for attempt in attempts:
+                    full = coordinator.cost_model.vm_execution(attempt["stats"])
+                    assert attempt["duration_s"] == full.duration_s
+                    assert attempt["merge_at"] is None
+            else:
+                # A failed invocation's window is its partial run and ends
+                # before the merge phase; the successful one carries it.
+                assert final["merge_at"] is not None
+                for failed in attempts[:-1]:
+                    assert failed["merge_at"] is None
+                    assert 0 < failed["duration_s"] < final["duration_s"]

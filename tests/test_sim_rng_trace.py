@@ -1,5 +1,6 @@
 """Unit tests for RNG streams and metric tracing."""
 
+import numpy as np
 import pytest
 
 from repro.sim.rng import RngRegistry, hash_name
@@ -91,6 +92,46 @@ class TestTrace:
         trace = Trace()
         trace.record("c", 0.0, 3)
         assert trace.time_weighted_mean("c", 5.0, 5.0) == 3
+
+    def test_time_weighted_mean_matches_full_scan(self):
+        """The windowed lookup is bit-identical to summing the step
+        function over the whole history, including samples exactly at
+        ``start`` and ``end`` and repeated timestamps."""
+
+        def full_scan(points, start, end, initial):
+            total, value, at = 0.0, initial, start
+            for point in points:
+                if point.time <= start:
+                    value = point.value
+                    continue
+                if point.time >= end:
+                    break
+                total += value * (point.time - at)
+                value, at = point.value, point.time
+            total += value * (end - at)
+            return total / (end - start)
+
+        rng = np.random.default_rng(11)
+        trace = Trace()
+        time = 0.0
+        for _ in range(5000):
+            time += float(rng.choice([0.0, 0.25, 1.0, rng.uniform(0.0, 3.0)]))
+            trace.record("c", time, float(rng.integers(0, 12)))
+        points = trace.series("c")
+        times = [point.time for point in points]
+        windows = [(0.0, times[-1] + 1.0), (-5.0, 0.0), (times[-1], times[-1] + 2.0)]
+        for _ in range(300):
+            start, end = sorted(float(t) for t in rng.choice(times, size=2))
+            windows.append((start, end))  # samples exactly at both edges
+            windows.append((start - 0.125, end + 0.125))
+            windows.append((start, start + float(rng.uniform(0.0, 30.0))))
+        for start, end in windows:
+            if end <= start:
+                continue
+            for initial in (0.0, 2.5):
+                assert trace.time_weighted_mean("c", start, end, initial) == (
+                    full_scan(points, start, end, initial)
+                )
 
     def test_merge_interleaves_sorted(self):
         a = Trace()
