@@ -11,6 +11,8 @@ scale-in events follow quiet periods, and the cluster returns to its
 minimum size by the end.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -91,11 +93,10 @@ def test_c4_autoscaling(benchmark):
             f"workers {decision.workers_before}{decision.delta:+d} "
             f"-> {decision.workers_target}"
         )
-    export_ledger_audit("c4", result)
-    paths = write_observability_artifacts(
-        "c4", result, "C4 watermark auto-scaling"
-    )
-    lines += ["", f"observability artifacts: {sorted(paths)}"]
+    written = export_ledger_audit("c4", result)
+    written.update(write_observability_artifacts("c4", result, "C4 watermark auto-scaling"))
+    artifacts = sorted(os.path.basename(path) for path in written.values())
+    lines += ["", f"observability artifacts: {artifacts}"]
     report("C4  Watermark auto-scaling on a bursty workload, paper §3.1", lines)
 
     assert cluster.scale_out_events >= 2  # bursts at ~1200s and ~2400s

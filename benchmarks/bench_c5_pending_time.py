@@ -139,10 +139,9 @@ def test_c5_pending_time(benchmark):
             f"violations={level.get('violations', 0):>3} "
             f"compliance={rendered}"
         )
-    export_ledger_audit("c5", result)
-    paths = write_observability_artifacts(
-        "c5", result, "C5 pending-time semantics"
-    )
+    written = export_ledger_audit("c5", result)
+    written.update(write_observability_artifacts("c5", result, "C5 pending-time semantics"))
+    artifacts = sorted(os.path.basename(path) for path in written.values())
     captures = result.obs.journal.captures()
     violating = [
         c for c in captures if "deadline_violation" in c["reasons"]
@@ -156,7 +155,7 @@ def test_c5_pending_time(benchmark):
         f"MAPE {projection['mape']:.9f} "
         f"(gate <= {PROJECTION_MAPE_THRESHOLD}), "
         f"sources {projection['by_source']}",
-        f"observability artifacts: {sorted(paths)}",
+        f"observability artifacts: {artifacts}",
     ]
     report("C5  Pending-time semantics of the three levels, paper §3.2", lines)
 

@@ -172,16 +172,22 @@ def test_morsel_parallel_speedup():
         "engine_parallel", run, lambda result: result, rounds=2, meta=meta
     )
     suite_speedup = meta["speedup_suite"]
+    # Only deterministic figures go into the committed report; wall times
+    # and speedups vary per run and live in the record's "meta" section
+    # (results/bench_engine_parallel.json, not committed).
     report(
         "engine_parallel: morsel-driven scan speedup",
         [
             f"{name}: {observed[name]['get_requests']} GETs, "
-            f"{meta[f'seq_wall_s_{name}']:.3f}s -> "
-            f"{meta[f'par_wall_s_{name}']:.3f}s "
-            f"({meta[f'speedup_{name}']:.2f}x at {PARALLEL_WORKERS} workers)"
+            f"{observed[name]['rows_scanned']} rows scanned, "
+            f"{observed[name]['rows_produced']} rows out, identical at 1 and "
+            f"{PARALLEL_WORKERS} workers"
             for name in QUERIES
         ]
-        + [f"suite: {suite_speedup:.2f}x"],
+        + [
+            f"suite speedup at {PARALLEL_WORKERS} workers: gated >= {MIN_SPEEDUP}x; "
+            "wall times in results/bench_engine_parallel.json (meta)"
+        ],
     )
     assert suite_speedup >= MIN_SPEEDUP, (
         f"morsel parallelism regressed: {suite_speedup:.2f}x < {MIN_SPEEDUP}x "

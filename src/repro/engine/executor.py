@@ -16,11 +16,12 @@ waiting for whole fragments.
 from __future__ import annotations
 
 import os
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.engine.batch import DEFAULT_BATCH_SIZE
-from repro.engine.pipeline import PhysicalOperator, build_pipeline
+from repro.engine.pipeline import PhysicalOperator, build_pipeline, drain
 from repro.engine.plan import PlanNode
 from repro.engine.source import DataSource
 from repro.storage.table import TableData
@@ -186,18 +187,11 @@ class StreamingExecution:
         self._root = root
 
     def batches(self) -> Iterator[TableData]:
-        root = self._root
-        root.open()
-        try:
-            while True:
-                batch = root.next_batch()
-                if batch is None:
-                    break
+        with closing(drain(self._root)) as batches:
+            for batch in batches:
                 self.batches_emitted += 1
                 self.stats.rows_produced += batch.num_rows
                 yield batch.data
-        finally:
-            root.close()
 
     def profile(self) -> OperatorProfile:
         """Per-operator profile of the work done so far (or ever, once the

@@ -1,11 +1,32 @@
 """Vectorized physical operators.
 
 One function per logical node type, all operating on whole
-:class:`~repro.storage.table.TableData` batches.  Grouping, distinct, and
-sorting share a code-based representation: every key column is reduced to
-dense integer codes (ranks of its sorted unique values) with NULL as an
-extra code, which makes multi-column grouping a single ``np.unique`` over a
-combined int64 and gives order-preserving sort keys for every data type.
+:class:`~repro.storage.table.TableData` batches.  Every operator that
+matches keys — join, semi/anti join, GROUP BY, DISTINCT, COUNT(DISTINCT),
+MIN/MAX and sort — keys rows by integer codes from one encoder,
+:func:`column_codes`, never by per-row Python tuples or fixed-width string
+copies.  NULL is one extra code per column.
+
+* **Equality codes** (``ordered=False``) are all that grouping, DISTINCT,
+  COUNT(DISTINCT) and joins need: groups are numbered by first appearance
+  afterwards, so the code order never shows.  VARCHAR values are
+  hash-factorized without sorting, and narrow integer ranges are their own
+  codes.
+* **Rank codes** (``ordered=True``) are codes of the column's *sorted*
+  distinct values; they order every dtype exactly in int64 and serve sort,
+  top-N and MIN/MAX only.
+* **Joins** encode each left/right key column pair as one stacked vector,
+  so equal values get equal codes on both sides; multi-column keys combine
+  per column and are renumbered densely before they could overflow.  The
+  build side is a stable argsort of the right codes with ``bincount``/
+  ``cumsum`` run offsets, the probe a ``np.repeat``; output order is left
+  row order, then matching right rows in ascending index.  NULL and NaN
+  keys match nothing.
+* **Carried dictionary codes**: vectors decoded from DICT-encoded chunks
+  keep their storage codes and dictionary (merged across row groups by
+  ``ColumnVector.concat_all``), and :func:`column_codes` uses them as they
+  are — O(rows) numpy, no string work.  Vectors built by expressions have
+  no codes and take the hash path.
 """
 
 from __future__ import annotations
@@ -20,29 +41,105 @@ from repro.storage.types import ColumnVector, DataType
 
 
 # ---------------------------------------------------------------------------
-# Key encoding shared by aggregate / distinct / sort
+# Key encoding shared by join / aggregate / distinct / sort
 # ---------------------------------------------------------------------------
 
+#: Combined multi-column codes are renumbered densely before they could
+#: pass this bound, so ``code * cardinality + next`` never overflows int64.
+_MAX_COMBINED_CODE = 1 << 62
 
-def column_codes(vector: ColumnVector) -> tuple[np.ndarray, np.ndarray]:
-    """Encode a column as dense rank codes.
 
-    Returns ``(codes, uniques)`` where ``codes[i]`` is the rank of row i's
-    value among the column's sorted distinct values, and NULL rows get code
-    ``len(uniques)`` (i.e. they sort last and group together, matching SQL
-    GROUP BY semantics and NULLS LAST ordering).
+def _code_range_limit(num_rows: int) -> int:
+    """Most distinct codes a key may use for ``num_rows`` rows before it is
+    renumbered densely (bounds the arrays that codes index)."""
+    return 4 * num_rows + 65536
+
+
+def _factorize(values: np.ndarray, ordered: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, uniques)``: int64 codes with ``uniques[codes[i]] == values[i]``.
+
+    ``uniques`` holds distinct values (possibly some that no row has).  With
+    ``ordered`` it is sorted ascending, so codes are ranks; otherwise only
+    equality of codes means anything.
     """
-    data = vector.data
-    if vector.dtype is DataType.VARCHAR:
-        # One vectorized conversion: NULL slots (None) become the string
-        # "None" but their codes are overwritten below anyway.
-        uniques, inverse = np.unique(data.astype(str), return_inverse=True)
+    if values.dtype == object:
+        # Hash factorization: dictionary lookups, no fixed-width string copy.
+        items = values.tolist()
+        uniques = list(dict.fromkeys(items))
+        if ordered:
+            uniques.sort()
+        position = dict(zip(uniques, range(len(uniques))))
+        codes = np.fromiter(
+            map(position.__getitem__, items), dtype=np.int64, count=len(items)
+        )
+        return codes, np.array(uniques, dtype=object)
+    if values.dtype.kind in "iu" and len(values):
+        # A narrow integer range is its own order-preserving code: O(rows).
+        low = int(values.min())
+        span = int(values.max()) - low + 1
+        if span <= _code_range_limit(len(values)):
+            codes = values.astype(np.int64) - low
+            return codes, np.arange(low, low + span, dtype=values.dtype)
+    uniques, inverse = np.unique(values, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64), uniques
+
+
+def column_codes(
+    vector: ColumnVector, *, ordered: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode a column as dense integer codes.
+
+    Returns ``(codes, uniques)`` where ``uniques[codes[i]]`` is row i's
+    value and NULL rows get code ``len(uniques)``, so NULLs group together
+    and, with ``ordered``, sort last (SQL GROUP BY and NULLS LAST).
+
+    ``ordered=False`` gives equality codes — all GROUP BY, DISTINCT,
+    COUNT(DISTINCT) and joins need.  ``ordered=True`` gives rank codes
+    (``uniques`` sorted) for sort, top-N and MIN/MAX.  Dictionary codes
+    carried from storage are used as they are (ranked through the sorted
+    dictionary when ordered, unless the dictionary outnumbers the rows);
+    other vectors go through :func:`_factorize`.
+    """
+    if vector.codes is not None and (
+        not ordered or len(vector.dictionary) <= len(vector.codes)
+    ):
+        codes, uniques = vector.codes.astype(np.int64), vector.dictionary
+        if ordered:
+            order = np.argsort(uniques, kind="stable")
+            rank = np.empty(len(order), dtype=np.int64)
+            rank[order] = np.arange(len(order))
+            codes, uniques = rank[codes], uniques[order]
     else:
-        uniques, inverse = np.unique(data, return_inverse=True)
-    codes = inverse.astype(np.int64)
+        codes, uniques = _factorize(vector.data, ordered)
     if vector.nulls is not None:
         codes[vector.nulls] = len(uniques)
     return codes, uniques
+
+
+def _densify(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    uniques, inverse = np.unique(codes, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64), len(uniques)
+
+
+def _key_codes(vectors: list[ColumnVector], max_code: int) -> tuple[np.ndarray, int]:
+    """One equality code per row over several key columns.
+
+    Returns ``(codes, bound)`` with every code in ``[0, bound)`` and
+    ``bound <= max_code``: the combined code is renumbered densely
+    whenever the next column (or the result) would pass ``max_code``.
+    """
+    combined = np.zeros(len(vectors[0]), dtype=np.int64)
+    bound = 1
+    for vector in vectors:
+        codes, uniques = column_codes(vector, ordered=False)
+        cardinality = len(uniques) + 1
+        if bound * cardinality > _MAX_COMBINED_CODE:
+            combined, bound = _densify(combined)
+        combined = combined * cardinality + codes
+        bound *= cardinality
+    if bound > max_code:
+        combined, bound = _densify(combined)
+    return combined, bound
 
 
 def combined_group_codes(
@@ -59,19 +156,18 @@ def combined_group_codes(
         return np.zeros(num_rows, dtype=np.int64), np.zeros(
             min(num_rows, 1), dtype=np.int64
         )
-    combined = np.zeros(num_rows, dtype=np.int64)
-    for name in key_columns:
-        codes, uniques = column_codes(table.column(name))
-        cardinality = len(uniques) + 1
-        combined = combined * cardinality + codes
-    _, first_indices, group_ids = np.unique(
-        combined, return_index=True, return_inverse=True
+    combined, bound = _key_codes(
+        [table.column(name) for name in key_columns], _code_range_limit(num_rows)
     )
-    # Renumber groups by first appearance so output order is deterministic.
-    order = np.argsort(first_indices, kind="stable")
-    remap = np.empty_like(order)
-    remap[order] = np.arange(len(order))
-    return remap[group_ids], np.sort(first_indices)
+    # First row of each code, then groups numbered by first appearance so
+    # output order is deterministic — O(rows + bound), no sort of the rows.
+    first = np.full(bound, num_rows, dtype=np.int64)
+    np.minimum.at(first, combined, np.arange(num_rows))
+    present = np.flatnonzero(first < num_rows)
+    order = np.argsort(first[present])
+    group_of_code = np.empty(bound, dtype=np.int64)
+    group_of_code[present[order]] = np.arange(len(order))
+    return group_of_code[combined], first[present[order]]
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +250,17 @@ def _count_distinct(
         return ColumnVector(
             DataType.BIGINT, np.zeros(num_groups, dtype=np.int64)
         )
-    codes, _ = column_codes(vector)
-    pairs = valid_groups.astype(np.int64) * (int(codes.max()) + 2) + codes[valid]
-    unique_pairs = np.unique(pairs)
-    distinct_groups = unique_pairs // (int(codes.max()) + 2)
-    counts = np.bincount(distinct_groups.astype(np.int64), minlength=num_groups)
+    codes, uniques = column_codes(vector, ordered=False)
+    width = len(uniques)  # non-NULL codes are below it
+    pairs = valid_groups.astype(np.int64) * width + codes[valid]
+    bound = num_groups * width
+    if bound <= _code_range_limit(len(pairs)):
+        seen = np.zeros(bound, dtype=bool)
+        seen[pairs] = True
+        distinct_pairs = np.flatnonzero(seen)
+    else:
+        distinct_pairs = np.unique(pairs)
+    counts = np.bincount(distinct_pairs // width, minlength=num_groups)
     return ColumnVector(DataType.BIGINT, counts.astype(np.int64))
 
 
@@ -170,7 +272,7 @@ def _min_max(
     num_groups: int,
     nulls: np.ndarray | None,
 ) -> ColumnVector:
-    codes, uniques = column_codes(vector)
+    codes, uniques = column_codes(vector, ordered=True)
     valid_codes = codes[valid]
     if spec.func is AggFunc.MIN:
         best = np.full(num_groups, np.iinfo(np.int64).max, dtype=np.int64)
@@ -351,32 +453,62 @@ def execute_hash_join(
         left_indices = np.repeat(np.arange(left.num_rows), right.num_rows)
         right_indices = np.tile(np.arange(right.num_rows), left.num_rows)
         return left_indices, right_indices
-    build: dict[tuple, list[int]] = {}
-    right_key_vectors = [right.column(name) for name in right_keys]
-    right_valid = np.ones(right.num_rows, dtype=bool)
-    for vector in right_key_vectors:
-        right_valid &= _valid_mask(vector)
-    right_rows = [vector.data.tolist() for vector in right_key_vectors]
-    for index in np.flatnonzero(right_valid):
-        key = tuple(column[index] for column in right_rows)
-        build.setdefault(key, []).append(int(index))
-    left_key_vectors = [left.column(name) for name in left_keys]
-    left_valid = np.ones(left.num_rows, dtype=bool)
-    for vector in left_key_vectors:
-        left_valid &= _valid_mask(vector)
-    left_rows = [vector.data.tolist() for vector in left_key_vectors]
-    left_out: list[int] = []
-    right_out: list[int] = []
-    for index in np.flatnonzero(left_valid):
-        key = tuple(column[index] for column in left_rows)
-        matches = build.get(key)
-        if matches:
-            left_out.extend([int(index)] * len(matches))
-            right_out.extend(matches)
-    return (
-        np.asarray(left_out, dtype=np.int64),
-        np.asarray(right_out, dtype=np.int64),
+    left_codes, right_codes, num_codes = _joint_key_codes(
+        left, right, left_keys, right_keys
     )
+    build_rows = np.flatnonzero(right_codes >= 0)
+    build_codes = right_codes[build_rows]
+    # Build: right rows grouped by code, ascending row index within a code
+    # (stable sort), each code's run located by bincount/cumsum.
+    build_rows = build_rows[np.argsort(build_codes, kind="stable")]
+    counts = np.bincount(build_codes, minlength=num_codes)
+    starts = np.cumsum(counts) - counts
+    # Probe: each left row repeated once per match, in left row order.
+    probe_rows = np.flatnonzero(left_codes >= 0)
+    probe_codes = left_codes[probe_rows]
+    matches = counts[probe_codes]
+    left_indices = np.repeat(probe_rows, matches)
+    run_offsets = np.arange(len(left_indices)) - np.repeat(
+        np.cumsum(matches) - matches, matches
+    )
+    right_indices = build_rows[np.repeat(starts[probe_codes], matches) + run_offsets]
+    return left_indices.astype(np.int64, copy=False), right_indices
+
+
+def _joint_key_codes(
+    left: TableData,
+    right: TableData,
+    left_keys: list[str],
+    right_keys: list[str],
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Equality codes for both join sides from one shared encoding.
+
+    Each key column pair is encoded as a single stacked vector (left rows,
+    then right rows), so equal values get equal codes on both sides.
+    Returns ``(left_codes, right_codes, bound)`` with codes in
+    ``[0, bound)``; rows that can match nothing — a NULL or NaN in any key
+    — get code -1.
+    """
+    stacked: list[ColumnVector] = []
+    matchable = np.ones(left.num_rows + right.num_rows, dtype=bool)
+    for left_name, right_name in zip(left_keys, right_keys):
+        left_vector, right_vector = left.column(left_name), right.column(right_name)
+        if left_vector.dtype is right_vector.dtype:
+            vector = ColumnVector.concat_all([left_vector, right_vector])
+        else:  # INT/BIGINT/DOUBLE: numpy promotes to the common type
+            data = np.concatenate([left_vector.data, right_vector.data])
+            nulls = np.concatenate(
+                [~_valid_mask(left_vector), ~_valid_mask(right_vector)]
+            )
+            dtype = DataType.DOUBLE if data.dtype.kind == "f" else DataType.BIGINT
+            vector = ColumnVector(dtype, data, nulls)
+        matchable &= _valid_mask(vector)
+        if vector.data.dtype.kind == "f":
+            matchable &= ~np.isnan(vector.data)  # NaN = NaN is not true
+        stacked.append(vector)
+    codes, bound = _key_codes(stacked, _code_range_limit(len(matchable)))
+    codes[~matchable] = -1
+    return codes[: left.num_rows], codes[left.num_rows :], bound
 
 
 def join_tables(
@@ -443,34 +575,28 @@ def execute_semi_anti_join(
     """
     if left.num_rows == 0:
         return left
-    build_values: set[tuple] = set()
-    right_has_null = False
-    right_vectors = [right.column(name) for name in right_keys]
-    if right.num_rows:
-        right_valid = np.ones(right.num_rows, dtype=bool)
-        for vector in right_vectors:
-            right_valid &= _valid_mask(vector)
-        right_has_null = not right_valid.all()
-        right_rows = [vector.data.tolist() for vector in right_vectors]
-        for index in np.flatnonzero(right_valid):
-            build_values.add(tuple(column[index] for column in right_rows))
     if anti and right.num_rows == 0:
         return left  # x NOT IN (empty) is TRUE for every x
-    if anti and right_has_null:
+    if anti and not _keys_valid(right, right_keys).all():
         return left.slice(0, 0)  # any NULL in S poisons NOT IN entirely
-    left_vectors = [left.column(name) for name in left_keys]
-    left_valid = np.ones(left.num_rows, dtype=bool)
-    for vector in left_vectors:
-        left_valid &= _valid_mask(vector)
-    left_rows = [vector.data.tolist() for vector in left_vectors]
+    left_codes, right_codes, num_codes = _joint_key_codes(
+        left, right, left_keys, right_keys
+    )
+    counts = np.bincount(right_codes[right_codes >= 0], minlength=num_codes)
+    matchable = left_codes >= 0
     matches = np.zeros(left.num_rows, dtype=bool)
-    for index in np.flatnonzero(left_valid):
-        key = tuple(column[index] for column in left_rows)
-        if key in build_values:
-            matches[index] = True
+    matches[matchable] = counts[left_codes[matchable]] > 0
     if anti:
-        return left.filter(left_valid & ~matches)
+        return left.filter(_keys_valid(left, left_keys) & ~matches)
     return left.filter(matches)
+
+
+def _keys_valid(table: TableData, keys: list[str]) -> np.ndarray:
+    """Rows whose key columns are all non-NULL."""
+    valid = np.ones(table.num_rows, dtype=bool)
+    for name in keys:
+        valid &= _valid_mask(table.column(name))
+    return valid
 
 
 def execute_union_all(
@@ -509,7 +635,7 @@ def _sort_codes(vector: ColumnVector, ascending: bool) -> np.ndarray:
     included); descending negates the codes and NULLs are pinned to the
     int64 maximum so they sort last in both directions.
     """
-    codes, _ = column_codes(vector)
+    codes, _ = column_codes(vector, ordered=True)
     keys = -codes if not ascending else codes.copy()
     if vector.nulls is not None:
         keys[vector.nulls] = np.iinfo(np.int64).max

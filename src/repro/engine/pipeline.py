@@ -37,7 +37,6 @@ from repro.engine.physical import (
     execute_aggregate,
     execute_distinct,
     execute_hash_join,
-    execute_limit,
     execute_semi_anti_join,
     execute_sort,
     execute_top_n,
@@ -160,6 +159,24 @@ class PhysicalOperator:
         if not pieces:
             return TableData.empty(child.node.output_schema())
         return TableData.concat_all(pieces)
+
+
+def drain(root: PhysicalOperator) -> Iterator[RecordBatch]:
+    """Open ``root``, yield its batches until it is exhausted, close it.
+
+    The close also happens when the consumer stops early (closing the
+    generator), which is what ends an abandoned scan without fetching the
+    rest of its row groups.
+    """
+    root.open()
+    try:
+        while True:
+            batch = root.next_batch()
+            if batch is None:
+                return
+            yield batch
+    finally:
+        root.close()
 
 
 class ScanOperator(PhysicalOperator):
@@ -585,16 +602,7 @@ class ExchangeOperator(PhysicalOperator):
         root = build_pipeline(
             self._segment_plan, SingleGranuleSource(granule), local, self._batch_size
         )
-        root.open()
-        batches: list[RecordBatch] = []
-        try:
-            while True:
-                batch = root.next_batch()
-                if batch is None:
-                    break
-                batches.append(batch)
-        finally:
-            root.close()
+        batches = list(drain(root))
         if self.partial_fn is not None:
             if batches:
                 table = TableData.concat_all([b.data for b in batches])

@@ -10,7 +10,9 @@ Three encodings are implemented, mirroring the Pixels format's essentials:
 
 * ``PLAIN`` — raw little-endian values; VARCHAR as int32 offsets + UTF-8.
 * ``RLE`` — run-length (run, value) pairs for integer-like columns.
-* ``DICT`` — dictionary codes for low-cardinality VARCHAR columns.
+* ``DICT`` — dictionary codes for low-cardinality VARCHAR columns; the
+  decoded :class:`~repro.storage.types.ColumnVector` carries the codes and
+  dictionary alongside the values.
 
 Encoding selection is automatic per chunk (:func:`choose_encoding`) and is
 recorded in the file footer so readers round-trip losslessly.
@@ -150,7 +152,8 @@ def decode_chunk(blob: bytes, dtype: DataType, encoding: Encoding) -> ColumnVect
     elif encoding is Encoding.RLE:
         data = _decode_rle(payload, dtype, num_rows)
     elif encoding is Encoding.DICT:
-        data = _decode_dict(payload, num_rows)
+        codes, dictionary = _decode_dict(payload, num_rows)
+        return ColumnVector(dtype, dictionary[codes], nulls, codes, dictionary)
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown encoding {encoding}")
     return ColumnVector(dtype, data, nulls)
@@ -251,9 +254,10 @@ def _encode_dict(vector: ColumnVector) -> bytes:
     return struct.pack("<I", len(dict_blob)) + dict_blob + codes.tobytes()
 
 
-def _decode_dict(blob: bytes, num_rows: int) -> np.ndarray:
+def _decode_dict(blob: bytes, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, dictionary)``; the vector keeps both next to the decoded
+    values so the engine can group and join by code."""
     (dict_len,) = struct.unpack_from("<I", blob, 0)
     dictionary = _decode_strings(blob[4 : 4 + dict_len])
     codes = np.frombuffer(blob, dtype=np.int32, count=num_rows, offset=4 + dict_len)
-    lookup = np.array(dictionary, dtype=object)
-    return lookup[codes]
+    return codes, np.array(dictionary, dtype=object)

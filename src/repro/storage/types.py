@@ -84,11 +84,19 @@ class ColumnVector:
         data: Backing numpy array (``object`` dtype for VARCHAR).
         nulls: Boolean array, True where the value is NULL; ``None`` means
             no nulls anywhere (the common fast path).
+        codes: Dictionary codes carried from a DICT-encoded chunk, with
+            ``dictionary[codes[i]] == data[i]`` for every row (NULL slots
+            included).  ``take``/``filter``/``slice``/``concat_all`` carry
+            them, so the engine can key rows by code without touching the
+            strings; any vector built another way has none.
+        dictionary: The distinct values ``codes`` index (``object`` array).
     """
 
     dtype: DataType
     data: np.ndarray
     nulls: np.ndarray | None = field(default=None)
+    codes: np.ndarray | None = field(default=None, compare=False, repr=False)
+    dictionary: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.nulls is not None and len(self.nulls) != len(self.data):
@@ -129,19 +137,24 @@ class ColumnVector:
             return raw
         return [None if null else value for value, null in zip(raw, self.nulls)]
 
+    def _rows(self, selector) -> "ColumnVector":
+        """The rows ``selector`` (indices, mask or slice) picks, codes too."""
+        nulls = None if self.nulls is None else self.nulls[selector]
+        codes = None if self.codes is None else self.codes[selector]
+        return ColumnVector(
+            self.dtype, self.data[selector], nulls, codes, self.dictionary
+        )
+
     def take(self, indices: np.ndarray) -> "ColumnVector":
         """Gather rows by integer index (the join/sort building block)."""
-        nulls = None if self.nulls is None else self.nulls[indices]
-        return ColumnVector(self.dtype, self.data[indices], nulls)
+        return self._rows(indices)
 
     def filter(self, mask: np.ndarray) -> "ColumnVector":
         """Keep rows where ``mask`` is True."""
-        nulls = None if self.nulls is None else self.nulls[mask]
-        return ColumnVector(self.dtype, self.data[mask], nulls)
+        return self._rows(mask)
 
     def slice(self, start: int, stop: int) -> "ColumnVector":
-        nulls = None if self.nulls is None else self.nulls[start:stop]
-        return ColumnVector(self.dtype, self.data[start:stop], nulls)
+        return self._rows(slice(start, stop))
 
     def concat(self, other: "ColumnVector") -> "ColumnVector":
         """Append ``other`` below this vector (dtypes must match)."""
@@ -154,6 +167,8 @@ class ColumnVector:
         A single ``np.concatenate`` allocates the result once, so merging
         n pieces is O(total rows) — the pairwise ``concat`` loop it
         replaces re-copied every previously merged row and was O(n²).
+        Dictionary codes survive when every piece has them: the pieces'
+        dictionaries merge in first-appearance order.
         """
         if not vectors:
             raise ValueError("concat_all needs at least one vector")
@@ -177,7 +192,9 @@ class ColumnVector:
                     for vector in vectors
                 ]
             )
-        return ColumnVector(first.dtype, data, nulls)
+        if any(vector.codes is None for vector in vectors):
+            return ColumnVector(first.dtype, data, nulls)
+        return ColumnVector(first.dtype, data, nulls, *_merge_dictionaries(vectors))
 
     def nbytes(self) -> int:
         """Approximate in-memory size; VARCHAR counts UTF-8 payload."""
@@ -188,6 +205,36 @@ class ColumnVector:
         if self.nulls is not None:
             size += int(self.nulls.nbytes)
         return size
+
+
+def _merge_dictionaries(
+    vectors: "list[ColumnVector]",
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, dictionary)`` of dictionary-coded pieces stacked in order.
+
+    Pieces sliced from one chunk share its dictionary object and need no
+    remapping (the common case: a breaker re-assembling one row group's
+    batches); otherwise each distinct dictionary is remapped once into the
+    merged one — O(dictionary entries), never O(rows) string work.
+    """
+    first = vectors[0].dictionary
+    if all(vector.dictionary is first for vector in vectors):
+        return np.concatenate([vector.codes for vector in vectors]), first
+    positions: dict = {}
+    remaps: dict[int, np.ndarray] = {}
+    parts = []
+    for vector in vectors:
+        remap = remaps.get(id(vector.dictionary))
+        if remap is None:
+            values = vector.dictionary.tolist()
+            remap = np.fromiter(
+                (positions.setdefault(value, len(positions)) for value in values),
+                dtype=np.int32,
+                count=len(values),
+            )
+            remaps[id(vector.dictionary)] = remap
+        parts.append(remap[vector.codes])
+    return np.concatenate(parts), np.array(list(positions), dtype=object)
 
 
 def date_to_days(iso_date: str) -> int:

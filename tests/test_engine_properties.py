@@ -260,3 +260,139 @@ class TestJoinProperties:
             count * right_counts[key] for key, count in left_counts.items()
         )
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# Join kernels vs a nested-loop reference (contents *and* row order)
+# ---------------------------------------------------------------------------
+
+KEY_VALUES = {
+    DataType.INT: st.integers(-3, 3),
+    DataType.BIGINT: st.integers(-3, 3),
+    DataType.VARCHAR: st.sampled_from(["a", "b", "", "ab"]),
+    DataType.DOUBLE: st.sampled_from([0.0, -0.0, 1.0, -2.0, 2.5, math.nan, math.inf]),
+}
+
+#: (left key types, right key types); mixed numeric pairs are legal join keys.
+KEY_SHAPES = [
+    ([DataType.INT], [DataType.INT]),
+    ([DataType.INT], [DataType.BIGINT]),
+    ([DataType.VARCHAR], [DataType.VARCHAR]),
+    ([DataType.DOUBLE], [DataType.DOUBLE]),
+    ([DataType.BIGINT], [DataType.DOUBLE]),
+    ([DataType.INT, DataType.VARCHAR], [DataType.BIGINT, DataType.VARCHAR]),
+    ([DataType.DOUBLE, DataType.INT], [DataType.DOUBLE, DataType.INT]),
+]
+
+
+def _key_rows(dtypes):
+    values = [st.one_of(KEY_VALUES[dtype], st.none()) for dtype in dtypes]
+    return st.lists(st.tuples(*values), max_size=25)
+
+
+JOIN_INPUTS = st.sampled_from(KEY_SHAPES).flatmap(
+    lambda shape: st.tuples(st.just(shape), _key_rows(shape[0]), _key_rows(shape[1]))
+)
+
+
+def _join_side(prefix, dtypes, key_rows):
+    """Key columns ``<prefix>0..`` plus a payload ``<prefix>p`` = row index."""
+    schema = [(f"{prefix}{i}", dtype) for i, dtype in enumerate(dtypes)]
+    schema.append((f"{prefix}p", DataType.BIGINT))
+    rows = [tuple(keys) + (index,) for index, keys in enumerate(key_rows)]
+    names = [name for name, _ in schema[:-1]]
+    return TableData.from_rows(schema, rows), names
+
+
+def _keys_equal(left, right):
+    """SQL equality of key tuples: NULL and NaN never match anything."""
+    return all(
+        a is not None and b is not None and a == b for a, b in zip(left, right)
+    )
+
+
+def _normalized(rows):
+    return [
+        tuple("NaN" if isinstance(v, float) and math.isnan(v) else v for v in row)
+        for row in rows
+    ]
+
+
+class TestJoinKernelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(JOIN_INPUTS)
+    def test_inner_pairs_match_nested_loop_in_order(self, inputs):
+        from repro.engine.physical import execute_hash_join
+
+        (left_types, right_types), left_keys, right_keys = inputs
+        left, left_names = _join_side("l", left_types, left_keys)
+        right, right_names = _join_side("r", right_types, right_keys)
+        left_indices, right_indices = execute_hash_join(
+            left, right, left_names, right_names, False
+        )
+        expected = [
+            (i, j)
+            for i, lk in enumerate(left_keys)
+            for j, rk in enumerate(right_keys)
+            if _keys_equal(lk, rk)
+        ]
+        assert list(zip(left_indices.tolist(), right_indices.tolist())) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(JOIN_INPUTS)
+    def test_left_join_residual_and_null_padding(self, inputs):
+        from repro.engine.expr import BoundColumn, BoundComparison
+        from repro.engine.physical import execute_hash_join, join_tables
+
+        (left_types, right_types), left_keys, right_keys = inputs
+        left, left_names = _join_side("l", left_types, left_keys)
+        right, right_names = _join_side("r", right_types, right_keys)
+        residual = BoundComparison(
+            "<=",
+            BoundColumn("lp", DataType.BIGINT),
+            BoundColumn("rp", DataType.BIGINT),
+        )
+        left_indices, right_indices = execute_hash_join(
+            left, right, left_names, right_names, True
+        )
+        got = join_tables(
+            left, right, left_indices, right_indices, True, residual
+        ).to_rows()
+        left_rows, right_rows = left.to_rows(), right.to_rows()
+        pairs = [
+            (i, j)
+            for i, lk in enumerate(left_keys)
+            for j, rk in enumerate(right_keys)
+            if _keys_equal(lk, rk) and i <= j
+        ]
+        matched = {i for i, _ in pairs}
+        padding = (None,) * len(right.column_names)
+        expected = [left_rows[i] + right_rows[j] for i, j in pairs] + [
+            row + padding for i, row in enumerate(left_rows) if i not in matched
+        ]
+        assert _normalized(got) == _normalized(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(JOIN_INPUTS.filter(lambda inputs: len(inputs[0][0]) == 1), st.booleans())
+    def test_semi_anti_join_match_reference(self, inputs, anti):
+        from repro.engine.physical import execute_semi_anti_join
+
+        (left_types, right_types), left_keys, right_keys = inputs
+        left, left_names = _join_side("l", left_types, left_keys)
+        right, right_names = _join_side("r", right_types, right_keys)
+        got = execute_semi_anti_join(left, right, left_names, right_names, anti)
+        left_rows = left.to_rows()
+        found = [any(_keys_equal(lk, rk) for rk in right_keys) for lk in left_keys]
+        if not anti:
+            expected = [row for row, hit in zip(left_rows, found) if hit]
+        elif not right_keys:
+            expected = left_rows  # x NOT IN (empty) holds even for NULL x
+        elif any(rk[0] is None for rk in right_keys):
+            expected = []  # a NULL in the subquery makes NOT IN unknown
+        else:
+            expected = [
+                row
+                for row, lk, hit in zip(left_rows, left_keys, found)
+                if lk[0] is not None and not hit
+            ]
+        assert _normalized(got.to_rows()) == _normalized(expected)
